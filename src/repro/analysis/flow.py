@@ -119,7 +119,10 @@ class FlowConfig:
     entry_patterns: Tuple[str, ...] = (
         "repro.core.parallel.ParallelAdvanced._evaluate_candidate",
         "repro.core.parallel.*.worker",
-        "repro.core.kcr_algorithm.KcRAlgorithm._bound_and_prune",
+        # The KcR walker: stepped in-process for the single tree and
+        # inside each shard worker (reached there via _worker_execute).
+        "repro.core.kcr_algorithm.KcRWalker.start",
+        "repro.core.kcr_algorithm.KcRWalker.step",
         "repro.index.search.TopKSearcher.top_k",
         "repro.index.search.TopKSearcher.rank_of_missing",
         # The sharded execution path: every read-only shard operation

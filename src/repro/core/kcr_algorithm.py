@@ -14,6 +14,15 @@ when the queue or the candidate set empties — at which point all
 surviving bounds are exact (leaf children are objects with known
 documents).
 
+Algorithm 3 is split in two halves.  A :class:`KcRWalker` lives where
+one tree lives and expands one node per :meth:`~KcRWalker.step`,
+reporting contribution deltas; the round driver
+(:meth:`KcRAlgorithm._bound_and_prune`) owns the candidates' global
+bounds, applies every walker's deltas and runs one incumbent/prune
+sweep per round.  The single tree is the one-walker case, stepped
+in-process; a sharded index runs one walker per shard
+(:mod:`repro.core.kcr_sharded`).
+
 Algorithm 4 drives Algorithm 3 strategically: candidates are batched
 by edit distance, batches are visited in ascending distance, and the
 whole process stops as soon as the next batch's keyword penalty alone
@@ -25,13 +34,15 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ensure_not_none
 from ..index.kcr_tree import KcRTree
-from ..model.query import WhyNotQuestion
+from ..model.objects import SpatialObject
+from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .bounds import NodeTextStats, max_dom, min_dom
 from .candidates import Candidate
@@ -39,9 +50,15 @@ from .context import QuestionContext
 from .penalty import PenaltyModel
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
 
-__all__ = ["KcRAlgorithm", "sweep_candidates"]
+__all__ = ["KcRAlgorithm", "KcRWalker", "sweep_candidates"]
 
-KeywordSet = FrozenSet[int]
+#: Per-candidate contribution (or delta): ``{s_index: (dmax, dmin)}``
+#: with one integer per missing object in each list.
+Contribution = Dict[int, Tuple[List[int], List[int]]]
+
+#: One walker's reply to a round: ``(walker key, deltas, has_more)``;
+#: ``deltas`` is ``None`` when the step expanded no node.
+Reply = Tuple[Any, Optional[Contribution], bool]
 
 
 class _CandidateState:
@@ -79,6 +96,35 @@ class _CandidateState:
         return max(self.dmin) + 1
 
 
+def scored_states(
+    model: SimilarityModel,
+    query: SpatialKeywordQuery,
+    missing: Sequence[SpatialObject],
+    batch: Sequence[Candidate],
+    m_sdist: Sequence[float],
+) -> List[_CandidateState]:
+    """Candidate states carrying ``TSim(m_i, S)`` and ``ST(m_i, q_S)``."""
+    alpha = query.alpha
+    beta = 1.0 - alpha
+    m_spatial = [alpha * (1.0 - d) for d in m_sdist]
+    states = [_CandidateState(c, len(missing)) for c in batch]
+    for state in states:
+        for i, m in enumerate(missing):
+            tsim = model.similarity(m.doc, state.candidate.keywords)
+            state.m_tsim[i] = tsim
+            state.m_score[i] = m_spatial[i] + beta * tsim
+    return states
+
+
+def apply_deltas(states: Sequence[_CandidateState], deltas: Contribution) -> None:
+    """Add one walker's contribution deltas to the global bounds."""
+    for s_index, (delta_max, delta_min) in deltas.items():
+        state = states[s_index]
+        for i in range(len(delta_max)):
+            state.dmax[i] += delta_max[i]
+            state.dmin[i] += delta_min[i]
+
+
 class KcRAlgorithm:
     """KcRBased: Algorithms 3 + 4 over the KcR-tree."""
 
@@ -101,11 +147,12 @@ class KcRAlgorithm:
         self.tree = tree
         self.model = model
         self.vectorize = vectorize_enabled(vectorize)
-        # NodeTextStats is O(|kcm| log |kcm|) to build; cache per aux
-        # record for the lifetime of the algorithm instance.  Purely an
-        # in-memory artefact: the underlying kcm fetch that feeds it is
-        # still I/O-accounted on every traversal.
-        self._stats_cache: Dict[int, NodeTextStats] = {}
+
+    @cached_property
+    def walker(self) -> "KcRWalker":
+        """The single tree's walker, reused by every batch (and so its
+        NodeTextStats memo lives as long as this algorithm)."""
+        return KcRWalker(self.tree, self.vectorize)
 
     # ------------------------------------------------------------------
     # Algorithm 4: the strategic driver
@@ -137,7 +184,7 @@ class KcRAlgorithm:
         )
 
     # ------------------------------------------------------------------
-    # Algorithm 3: one-traversal bound-and-prune over a batch
+    # Algorithm 3: the round driver over one batch
     # ------------------------------------------------------------------
     def _bound_and_prune(
         self,
@@ -146,102 +193,166 @@ class KcRAlgorithm:
         best: RefinedQuery,
         counters: SearchCounters,
     ) -> RefinedQuery:
-        """Evaluate ``batch`` in one KcR-tree traversal (Algorithm 3)."""
+        """Evaluate ``batch`` in one traversal per walker (Algorithm 3).
+
+        Each round steps every walker that has work left, applies the
+        deltas they report and runs one incumbent/prune sweep; the
+        walkers see the sweep's alive flags on their next step.
+        """
+        states = [_CandidateState(c, len(context.missing)) for c in batch]
+        counters.candidates_evaluated += len(states)
+        replies = self._start(context, batch, states)
+        best_owner: Optional[_CandidateState] = None
+        while True:
+            pending = []
+            for key, deltas, more in replies:
+                if deltas is not None:
+                    apply_deltas(states, deltas)
+                if more:
+                    pending.append(key)
+            best, best_owner = sweep_candidates(
+                states, context.penalty_model, best, best_owner, counters
+            )
+            if not pending or not any(state.alive for state in states):
+                return best
+            alive = tuple(state.alive for state in states)
+            replies = self._step(pending, alive)
+            counters.nodes_expanded += sum(
+                1 for _, deltas, _ in replies if deltas is not None
+            )
+
+    # ------------------------------------------------------------------
+    # round transport: one in-process walker over the single tree
+    # ------------------------------------------------------------------
+    def _start(
+        self,
+        context: QuestionContext,
+        batch: Sequence[Candidate],
+        states: Sequence[_CandidateState],
+    ) -> List[Reply]:
+        """Open every walker on ``batch``; replies carry root bounds."""
+        walker = self.walker
+        deltas = walker.start(self.model, context.query, context.missing, batch)
+        return [(walker, deltas, walker.has_more())]
+
+    def _step(self, pending: Sequence[Any], alive: Sequence[bool]) -> List[Reply]:
+        """Step every ``pending`` walker once under the ``alive`` flags."""
+        walker = self.walker
+        return [(walker, walker.step(alive), walker.has_more())]
+
+
+class KcRWalker:
+    """One KcR-tree's half of Algorithm 3, advanced one node per step.
+
+    Lives where its tree lives — in-process for the single tree, inside
+    the shard's worker for a sharded index — so per-node I/O and
+    arithmetic are the same either way.  The round driver owns the
+    *global* candidate bounds; the walker only reports contribution
+    deltas and honours the ``alive`` flags it is handed.
+
+    Children of an expanded branch are enqueued at the start of the
+    *next* step, under the flags of the sweep that followed the
+    expansion — the single-tree rule (Algorithm 3 lines 29-30).
+    :meth:`has_more` is judged on the pre-sweep flags, so it may promise
+    a step that ends up expanding nothing (``step`` returns ``None``).
+    """
+
+    def __init__(self, tree: KcRTree, vectorize: Optional[bool] = None) -> None:
+        from .vectorized import vectorize_enabled
+
+        self.tree = tree
+        self.vectorize = vectorize_enabled(vectorize)
+        # NodeTextStats is O(|kcm| log |kcm|) to build; cache per aux
+        # record for the lifetime of the walker.  Purely an in-memory
+        # artefact: the underlying kcm fetch that feeds it is still
+        # I/O-accounted on every traversal.
+        self._stats_cache: Dict[int, NodeTextStats] = {}
+        self.states: List[_CandidateState] = []
+        self.queue: Deque[Tuple[int, Contribution]] = deque()
+        self._children: List[Tuple[Any, Contribution]] = []
+
+    def start(
+        self,
+        model: SimilarityModel,
+        query: SpatialKeywordQuery,
+        missing: Sequence[SpatialObject],
+        batch: Sequence[Candidate],
+    ) -> Contribution:
+        """Begin ``batch``: the root-level bounds (Algorithm 3 lines
+        2-6) as deltas against all-zero."""
         tree = self.tree
-        query = context.query
-        penalty_model = context.penalty_model
-        alpha = query.alpha
-        beta = 1.0 - alpha
-        missing = context.missing
-        n_missing = len(missing)
-        m_sdist = [
+        self.query = query
+        self.alpha = query.alpha
+        self.beta = 1.0 - query.alpha
+        self.m_sdist = [
             tree.dataset.normalized_distance(m.loc, query.loc) for m in missing
         ]
-        m_spatial = [alpha * (1.0 - d) for d in m_sdist]
-
-        states = [_CandidateState(c, n_missing) for c in batch]
-        counters.candidates_evaluated += len(states)
-        for state in states:
-            for i, m in enumerate(missing):
-                tsim = self.model.similarity(m.doc, state.candidate.keywords)
-                state.m_tsim[i] = tsim
-                state.m_score[i] = m_spatial[i] + beta * tsim
-
-        # Root-level initial bounds (Algorithm 3 lines 2-6).
+        self.states = scored_states(model, query, missing, batch, self.m_sdist)
         root_stats = self._node_stats(tree.root_summary_record)
         root_rect = ensure_not_none(tree.root_rect, "tree has no root MBR")
-        root_geo = self._geo_offsets(root_rect, query.loc, alpha, m_sdist)
-        contributions: Dict[int, Dict[int, Tuple[List[int], List[int]]]] = {}
-        root_contrib: Dict[int, Tuple[List[int], List[int]]] = {}
-        for s_index, state in enumerate(states):
-            dmax, dmin = self._node_bounds(root_stats, *root_geo, state)
-            state.dmax = list(dmax)
-            state.dmin = list(dmin)
-            root_contrib[s_index] = (dmax, dmin)
-        contributions[tree.root_id] = root_contrib
+        root_geo = self._geo_offsets(root_rect, query.loc, self.alpha, self.m_sdist)
+        root: Contribution = {
+            s_index: self._node_bounds(root_stats, *root_geo, state)
+            for s_index, state in enumerate(self.states)
+        }
+        self.queue = deque([(tree.root_id, root)])
+        self._children = []
+        return root
 
-        best_owner: Optional[_CandidateState] = None
-        best, best_owner = self._sweep_candidates(
-            states, penalty_model, best, best_owner, counters
-        )
-        alive_count = sum(1 for s in states if s.alive)
-        if alive_count == 0:
-            return best
+    def has_more(self) -> bool:
+        return bool(self.queue) or bool(self._children)
 
-        queue: Deque[int] = deque([tree.root_id])
-        while queue:
-            node_id = queue.popleft()
-            counters.nodes_expanded += 1
-            node_contrib = contributions.pop(node_id, None)
-            if node_contrib is None:
-                continue  # contribution superseded; nothing to refine
-            node = tree.fetch_node(node_id)
+    def step(self, alive: Sequence[bool]) -> Optional[Contribution]:
+        """Expand one node; return the contribution deltas it caused.
 
-            if node.is_leaf:
-                child_sums = self._leaf_exact_sums(node, states, query, alpha, beta)
-            else:
-                child_sums, child_infos = self._branch_child_bounds(
-                    node, states, query.loc, alpha, m_sdist
-                )
+        The node's contribution is replaced with its children's sums
+        (Algorithm 3 lines 18-19), per alive candidate.
+        """
+        for state, flag in zip(self.states, alive):
+            state.alive = flag
+        for entry, per_candidate in self._children:
+            if self._useful(per_candidate):
+                self.queue.append((entry.child_id, per_candidate))
+        self._children = []
+        if not self.queue:
+            return None
+        node_id, node_contrib = self.queue.popleft()
+        node = self.tree.fetch_node(node_id)
+        if node.is_leaf:
+            child_sums = self._leaf_exact_sums(node)
+        else:
+            child_sums, child_infos = self._branch_child_bounds(node)
+            # Pre-filter on this step's flags: the sweep only kills.
+            self._children = [
+                (entry, per_candidate)
+                for entry, per_candidate in child_infos
+                if self._useful(per_candidate)
+            ]
 
-            # Lines 18-19: replace this node's contribution with the
-            # children's sums, per candidate and per missing object.
-            for s_index, state in enumerate(states):
-                if not state.alive:
-                    continue
-                old_max, old_min = node_contrib[s_index]
-                new_max, new_min = child_sums[s_index]
-                for i in range(n_missing):
-                    state.dmax[i] += new_max[i] - old_max[i]
-                    state.dmin[i] += new_min[i] - old_min[i]
-
-            best, best_owner = self._sweep_candidates(
-                states, penalty_model, best, best_owner, counters
+        n_missing = len(self.m_sdist)
+        deltas: Contribution = {}
+        for s_index, state in enumerate(self.states):
+            if not state.alive:
+                continue
+            old_max, old_min = node_contrib[s_index]
+            new_max, new_min = child_sums[s_index]
+            deltas[s_index] = (
+                [new_max[i] - old_max[i] for i in range(n_missing)],
+                [new_min[i] - old_min[i] for i in range(n_missing)],
             )
-            if not any(state.alive for state in states):
-                return best
-
-            if not node.is_leaf:
-                for entry, per_candidate in child_infos:
-                    # Line 29-30: skip children whose bounds are already
-                    # exact for every alive candidate.
-                    useful = any(
-                        states[s_index].alive
-                        and per_candidate[s_index][0] != per_candidate[s_index][1]
-                        for s_index in range(len(states))
-                    )
-                    if not useful:
-                        continue
-                    contributions[entry.child_id] = {
-                        s_index: per_candidate[s_index]
-                        for s_index in range(len(states))
-                    }
-                    queue.append(entry.child_id)
-        return best
+        return deltas
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _useful(self, per_candidate: Contribution) -> bool:
+        """Lines 29-30: a child is worth expanding while its bounds
+        are not yet exact for some alive candidate."""
+        return any(
+            state.alive and per_candidate[s_index][0] != per_candidate[s_index][1]
+            for s_index, state in enumerate(self.states)
+        )
+
     def _node_stats(self, aux_record: int) -> NodeTextStats:
         stats = self._stats_cache.get(aux_record)
         if stats is None:
@@ -310,13 +421,8 @@ class KcRAlgorithm:
         return dmax, dmin
 
     def _branch_child_bounds(
-        self,
-        node,
-        states: Sequence[_CandidateState],
-        query_loc,
-        alpha: float,
-        m_sdist: Sequence[float],
-    ):
+        self, node
+    ) -> Tuple[Contribution, List[Tuple[Any, Contribution]]]:
         """Bounds for every child of a branch node, per candidate.
 
         Returns ``(child_sums, child_infos)`` where ``child_sums`` maps
@@ -324,18 +430,19 @@ class KcRAlgorithm:
         ``child_infos`` pairs each child entry with its per-candidate
         bounds for contribution bookkeeping.
         """
-        n_missing = len(m_sdist)
+        states = self.states
+        n_missing = len(self.m_sdist)
         child_infos = []
-        child_sums: Dict[int, Tuple[List[int], List[int]]] = {
+        child_sums: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)
             for s_index in range(len(states))
         }
         for entry in node.child_entries:
             stats = self._node_stats(entry.aux_record)
             geo_lower, geo_upper = self._geo_offsets(
-                entry.rect, query_loc, alpha, m_sdist
+                entry.rect, self.query.loc, self.alpha, self.m_sdist
             )
-            per_candidate: Dict[int, Tuple[List[int], List[int]]] = {}
+            per_candidate: Contribution = {}
             for s_index, state in enumerate(states):
                 if not state.alive:
                     per_candidate[s_index] = (
@@ -352,14 +459,7 @@ class KcRAlgorithm:
             child_infos.append((entry, per_candidate))
         return child_sums, child_infos
 
-    def _leaf_exact_sums(
-        self,
-        node,
-        states: Sequence[_CandidateState],
-        query,
-        alpha: float,
-        beta: float,
-    ) -> Dict[int, Tuple[List[int], List[int]]]:
+    def _leaf_exact_sums(self, node) -> Contribution:
         """Exact dominator counts for the objects of a leaf node.
 
         Vectorised over the leaf's objects with a term-incidence
@@ -373,7 +473,10 @@ class KcRAlgorithm:
         per-object (I/O-accounted); only the arithmetic is batched.
         """
         tree = self.tree
-        n_missing = len(states[0].m_score) if states else 0
+        states = self.states
+        alpha = self.alpha
+        beta = self.beta
+        n_missing = len(self.m_sdist)
         entries = node.object_entries
         docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
         packed = tree.packed_leaf(node) if self.vectorize else None
@@ -396,13 +499,13 @@ class KcRAlgorithm:
         doc_lengths = np.array([len(doc) for doc in docs], dtype=np.float64)
         spatial = np.array(
             [
-                alpha * (1.0 - tree.dataset.normalized_distance(e.loc, query.loc))
+                alpha * (1.0 - tree.dataset.normalized_distance(e.loc, self.query.loc))
                 for e in entries
             ],
             dtype=np.float64,
         )
 
-        sums: Dict[int, Tuple[List[int], List[int]]] = {
+        sums: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)
             for s_index in range(len(states))
         }
@@ -433,16 +536,6 @@ class KcRAlgorithm:
                 dmin[i] += count
         return sums
 
-    def _sweep_candidates(
-        self,
-        states: Sequence[_CandidateState],
-        penalty_model: PenaltyModel,
-        best: RefinedQuery,
-        best_owner: Optional[_CandidateState],
-        counters: SearchCounters,
-    ) -> Tuple[RefinedQuery, Optional[_CandidateState]]:
-        return sweep_candidates(states, penalty_model, best, best_owner, counters)
-
 
 def sweep_candidates(
     states: Sequence[_CandidateState],
@@ -453,11 +546,11 @@ def sweep_candidates(
 ) -> Tuple[RefinedQuery, Optional[_CandidateState]]:
     """Lines 20-26: update the incumbent and prune candidates.
 
-    Shared between the single-tree traversal above and the sharded
-    driver (:mod:`repro.core.kcr_sharded`), whose per-round node
-    schedule differs from the single tree's per-node schedule — the
-    sweep must therefore be *schedule-independent* so both engines
-    report the identical incumbent.
+    The round driver runs it once per round.  With one walker a round
+    is one node, as in the paper; over N shards a round expands up to N
+    nodes, so the bound trajectory differs from the single tree's — the
+    sweep must therefore be *schedule-independent* so both report the
+    identical incumbent.
 
     The incumbent snapshot is refreshed not only when another
     candidate strictly improves the penalty, but also when the

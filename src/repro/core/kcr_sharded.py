@@ -1,11 +1,20 @@
-"""KcRBased over a sharded index (round-synchronised Algorithm 3).
+"""KcRBased over a sharded index: the round transport and fault swap-in.
 
-The single-tree algorithm interleaves bound refinement and pruning per
-*node*; across shards the schedule becomes per *round*: every shard
-expands one node, the driver applies all contribution deltas in shard
-order, then runs one incumbent/prune sweep.  The final answer is
-bit-identical to the unsharded run regardless of the differing bound
-trajectory:
+The round driver, Algorithm 4 and the per-tree walker all live in
+:mod:`repro.core.kcr_algorithm`; this module only supplies what is
+specific to shards.  Each shard runs one
+:class:`~repro.core.kcr_algorithm.KcRWalker` (in-process in
+``simulate`` mode, inside the forked worker in ``process`` mode), and
+each round is one :meth:`~repro.index.sharded.ShardedIndex.request_many`
+broadcast that steps every shard with work left.  That broadcast books
+the round's makespan discount itself (round wall minus the slowest
+shard's CPU busy) following :mod:`repro.core.parallel`'s simulation
+convention — so the recorded elapsed means "driver time plus one
+worker's work per round" on any host.
+
+The final answer is bit-identical to the unsharded run even though a
+round over N shards expands up to N nodes, so the bound trajectory
+(and the number of nodes expanded) differs from the single tree's:
 
 * every object lives in exactly one shard and shards share the global
   diagonal, so leaf-level exact sums are the same floats;
@@ -20,299 +29,91 @@ trajectory:
   contribution (``exact − cumulative-so-far``), which only *tightens*
   bounds toward the same exact values.
 
-Each round is one :meth:`~repro.index.sharded.ShardedIndex.request_many`
-broadcast, which books the round's makespan discount itself (round wall
-minus the slowest shard's CPU busy) following
-:mod:`repro.core.parallel`'s simulation convention — so the recorded
-elapsed means "driver time plus one worker's work per round" on any
-host, whether the overlap was simulated or ran in real worker
-processes.
+With one shard a round is one node and the walker enqueues under the
+same post-sweep flags as the single tree, so the I/O ledger and the
+counters match the unsharded run exactly.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
-from ..errors import StorageError, ensure_not_none
-from ..index.kcr_tree import KcRTree
+from ..errors import StorageError
 from ..index.sharded import Shard, ShardedIndex
-from ..model.objects import SpatialObject
-from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
 from .candidates import Candidate
 from .context import QuestionContext
-from .kcr_algorithm import KcRAlgorithm, _CandidateState, sweep_candidates
-from .result import RefinedQuery, SearchCounters, WhyNotAnswer
+from .kcr_algorithm import (
+    Contribution,
+    KcRAlgorithm,
+    Reply,
+    _CandidateState,
+    apply_deltas,
+    scored_states,
+)
 
-__all__ = ["ShardTraversal", "ShardedKcRAlgorithm"]
-
-#: Per-candidate contribution (or delta): ``{s_index: (dmax, dmin)}``
-#: with one integer per missing object in each list.
-Contribution = Dict[int, Tuple[List[int], List[int]]]
-
-
-class ShardTraversal:
-    """One shard's half of Algorithm 3, advanced one node per step.
-
-    Lives where the shard's tree lives (in-process in ``simulate``
-    mode, inside the forked worker in ``process`` mode) and reuses
-    :class:`KcRAlgorithm`'s bound helpers verbatim, so per-node I/O and
-    arithmetic match the single-tree traversal exactly.  The driver
-    owns the *global* candidate bounds; this side only reports
-    contribution deltas and honours the broadcast ``alive`` flags.
-    """
-
-    def __init__(
-        self,
-        tree: KcRTree,
-        model: SimilarityModel,
-        query: SpatialKeywordQuery,
-        missing: Sequence[SpatialObject],
-        batch: Sequence[Candidate],
-    ) -> None:
-        self.algo = KcRAlgorithm(tree, model)
-        self.tree = tree
-        self.query = query
-        self.alpha = query.alpha
-        self.beta = 1.0 - query.alpha
-        self.missing = tuple(missing)
-        self.n_missing = len(self.missing)
-        self.m_sdist = [
-            tree.dataset.normalized_distance(m.loc, query.loc)
-            for m in self.missing
-        ]
-        m_spatial = [self.alpha * (1.0 - d) for d in self.m_sdist]
-        self.states = [_CandidateState(c, self.n_missing) for c in batch]
-        for state in self.states:
-            for i, m in enumerate(self.missing):
-                tsim = model.similarity(m.doc, state.candidate.keywords)
-                state.m_tsim[i] = tsim
-                state.m_score[i] = m_spatial[i] + self.beta * tsim
-
-        root_stats = self.algo._node_stats(tree.root_summary_record)
-        root_rect = ensure_not_none(tree.root_rect, "tree has no root MBR")
-        root_geo = self.algo._geo_offsets(
-            root_rect, query.loc, self.alpha, self.m_sdist
-        )
-        self._initial: Contribution = {}
-        root_contrib: Contribution = {}
-        for s_index, state in enumerate(self.states):
-            dmax, dmin = self.algo._node_bounds(root_stats, *root_geo, state)
-            root_contrib[s_index] = (dmax, dmin)
-            self._initial[s_index] = (list(dmax), list(dmin))
-        self.contributions: Dict[int, Contribution] = {
-            tree.root_id: root_contrib
-        }
-        self.queue: Deque[int] = deque([tree.root_id])
-
-    def initial_deltas(self) -> Contribution:
-        """The root-level contribution (delta against all-zero)."""
-        return self._initial
-
-    def has_more(self) -> bool:
-        return bool(self.queue)
-
-    def step(self, alive: Sequence[bool]) -> Contribution:
-        """Expand one node; return the contribution deltas it caused.
-
-        Mirrors the single-tree expansion body: replace the node's
-        contribution with its children's sums, enqueue only children
-        that can still tighten some alive candidate.
-        """
-        for state, flag in zip(self.states, alive):
-            state.alive = flag
-        node_id = self.queue.popleft()
-        node_contrib = self.contributions.pop(node_id, None)
-        if node_contrib is None:
-            return {}  # superseded; nothing to refine
-        node = self.tree.fetch_node(node_id)
-        if node.is_leaf:
-            child_sums = self.algo._leaf_exact_sums(
-                node, self.states, self.query, self.alpha, self.beta
-            )
-        else:
-            child_sums, child_infos = self.algo._branch_child_bounds(
-                node, self.states, self.query.loc, self.alpha, self.m_sdist
-            )
-
-        deltas: Contribution = {}
-        for s_index, state in enumerate(self.states):
-            if not state.alive:
-                continue
-            old_max, old_min = node_contrib[s_index]
-            new_max, new_min = child_sums[s_index]
-            deltas[s_index] = (
-                [new_max[i] - old_max[i] for i in range(self.n_missing)],
-                [new_min[i] - old_min[i] for i in range(self.n_missing)],
-            )
-
-        if not node.is_leaf:
-            for entry, per_candidate in child_infos:
-                useful = any(
-                    self.states[s_index].alive
-                    and per_candidate[s_index][0] != per_candidate[s_index][1]
-                    for s_index in range(len(self.states))
-                )
-                if not useful:
-                    continue
-                self.contributions[entry.child_id] = {
-                    s_index: per_candidate[s_index]
-                    for s_index in range(len(self.states))
-                }
-                self.queue.append(entry.child_id)
-        return deltas
+__all__ = ["ShardedKcRAlgorithm"]
 
 
-class ShardedKcRAlgorithm:
-    """Algorithm 4 driving round-synchronised per-shard traversals.
+class ShardedKcRAlgorithm(KcRAlgorithm):
+    """KcRBased with one walker per shard, one broadcast per round.
 
     Accrued fan-out busy time lands in the index runtime's discount;
     the engine (not this class) subtracts it from the answer's elapsed
     seconds, exactly as for the sharded BS searchers.
     """
 
-    name = "KcRBased"
-
     def __init__(
         self, index: ShardedIndex, model: SimilarityModel = JACCARD
     ) -> None:
-        if model.name != "jaccard":
-            raise ValueError(
-                "the KcR-tree bounds (Theorems 2-3) are Jaccard-specific; "
-                f"got model {model.name!r}"
-            )
+        index.ensure_built("kcr", model)
+        super().__init__(index.view("kcr"), model)  # type: ignore[arg-type]
         self.index = index
-        self.model = model
 
-    def answer(self, question: WhyNotQuestion) -> WhyNotAnswer:
-        """Best refined query for ``question`` over the shard set."""
-        started = time.perf_counter()
-        self.index.ensure_built("kcr", self.model)
-        view = self.index.view("kcr")
-        io_before = view.stats.snapshot()
-        context = QuestionContext.prepare(question, view, self.model)
-        counters = SearchCounters()
-        penalty_model = context.penalty_model
-
-        best = context.basic_refined()
-        for distance in range(1, context.enumerator.edit_universe + 1):
-            if penalty_model.keyword_penalty(distance) >= best.penalty:
-                break
-            batch = context.enumerator.at_distance(distance)
-            counters.candidates_enumerated += len(batch)
-            if batch:
-                best = self._bound_and_prune(context, batch, best, counters)
-
-        return WhyNotAnswer(
-            refined=best,
-            initial_rank=context.initial_rank,
-            algorithm=self.name,
-            elapsed_seconds=time.perf_counter() - started,
-            io=view.stats.snapshot() - io_before,
-            counters=counters,
-        )
-
-    # ------------------------------------------------------------------
-    def _bound_and_prune(
+    def _start(
         self,
         context: QuestionContext,
         batch: Sequence[Candidate],
-        best: RefinedQuery,
-        counters: SearchCounters,
-    ) -> RefinedQuery:
-        """One batch over all shards, one sweep per round."""
-        index = self.index
-        query = context.query
-        penalty_model = context.penalty_model
-        alpha = query.alpha
-        beta = 1.0 - alpha
-        missing = context.missing
-        n_missing = len(missing)
-        dataset = index.dataset
-        m_spatial = [
-            alpha * (1.0 - dataset.normalized_distance(m.loc, query.loc))
-            for m in missing
-        ]
-        states = [_CandidateState(c, n_missing) for c in batch]
-        counters.candidates_evaluated += len(states)
-        for state in states:
-            for i, m in enumerate(missing):
-                tsim = self.model.similarity(m.doc, state.candidate.keywords)
-                state.m_tsim[i] = tsim
-                state.m_score[i] = m_spatial[i] + beta * tsim
-
-        shards = [shard for shard in index.shards if not shard.is_empty]
-        cumulative: Dict[int, Contribution] = {}
-        pending: Dict[int, bool] = {}
-
-        # Init round: root contributions (or exact scans for down
-        # shards).  Contributions are integer counter deltas, so the
-        # apply order across shards cannot change the sums — the round
-        # broadcasts, ``request_many`` books its makespan discount, and
-        # in process mode the shards genuinely run in parallel.
+        states: Sequence[_CandidateState],
+    ) -> List[Reply]:
+        """Open a walker on every healthy shard; down shards are
+        swapped in at their exact contribution straight away."""
+        self._context = context
+        self._batch = batch
+        self._states = states
+        self._cumulative: Dict[int, Contribution] = {}
         live: List[Shard] = []
-        for shard in shards:
-            if (shard.tid, "kcr") in index.runtime.down:
-                self._swap_in_exact(shard, states, cumulative, pending, query)
+        for shard in self.index.shards:
+            if shard.is_empty:
+                continue
+            if (shard.tid, "kcr") in self.index.runtime.down:
+                self._swap_in_exact(shard)
             else:
                 live.append(shard)
-        init = ("kcr_init", query, missing, tuple(batch), self.model)
-        replies = index.request_many([(shard, init) for shard in live])
-        for shard, reply in zip(live, replies):
-            if isinstance(reply, StorageError):
-                index.mark_down(shard, "kcr", "kcr_init", reply)
-                self._swap_in_exact(shard, states, cumulative, pending, query)
+        init = ("kcr_init", context.query, context.missing, tuple(batch), self.model)
+        return self._broadcast(live, init)
+
+    def _step(self, pending: Sequence[Any], alive: Sequence[bool]) -> List[Reply]:
+        return self._broadcast(pending, ("kcr_step", tuple(alive)))
+
+    def _broadcast(self, shards: Sequence[Shard], message: tuple) -> List[Reply]:
+        """One ``request_many`` round; a failed shard is marked down
+        and swapped in (it sends no reply and is not pending)."""
+        replies: List[Reply] = []
+        results = self.index.request_many([(shard, message) for shard in shards])
+        for shard, result in zip(shards, results):
+            if isinstance(result, StorageError):
+                self.index.mark_down(shard, "kcr", message[0], result)
+                self._swap_in_exact(shard)
                 continue
-            (deltas, more), _busy = reply
-            self._apply(states, deltas)
-            cumulative[shard.tid] = {
-                s_index: (list(pair[0]), list(pair[1]))
-                for s_index, pair in deltas.items()
-            }
-            pending[shard.tid] = more
+            (deltas, more), _busy = result
+            if deltas is not None:
+                self._accumulate(shard.tid, deltas)
+            replies.append((shard, deltas, more))
+        return replies
 
-        best_owner: Optional[_CandidateState] = None
-        best, best_owner = sweep_candidates(
-            states, penalty_model, best, best_owner, counters
-        )
-
-        while any(pending.values()) and any(s.alive for s in states):
-            alive = tuple(state.alive for state in states)
-            stepping = [shard for shard in shards if pending.get(shard.tid)]
-            replies = index.request_many(
-                [(shard, ("kcr_step", alive)) for shard in stepping]
-            )
-            for shard, reply in zip(stepping, replies):
-                if isinstance(reply, StorageError):
-                    index.mark_down(shard, "kcr", "kcr_step", reply)
-                    self._swap_in_exact(
-                        shard, states, cumulative, pending, query
-                    )
-                    continue
-                counters.nodes_expanded += 1
-                (deltas, more), _busy = reply
-                self._apply(states, deltas)
-                self._accumulate(cumulative[shard.tid], deltas)
-                pending[shard.tid] = more
-            best, best_owner = sweep_candidates(
-                states, penalty_model, best, best_owner, counters
-            )
-        return best
-
-    @staticmethod
-    def _apply(
-        states: Sequence[_CandidateState], deltas: Contribution
-    ) -> None:
-        for s_index, (delta_max, delta_min) in deltas.items():
-            state = states[s_index]
-            for i in range(len(delta_max)):
-                state.dmax[i] += delta_max[i]
-                state.dmin[i] += delta_min[i]
-
-    @staticmethod
-    def _accumulate(total: Contribution, deltas: Contribution) -> None:
+    def _accumulate(self, tid: int, deltas: Contribution) -> None:
+        total = self._cumulative.setdefault(tid, {})
         for s_index, (delta_max, delta_min) in deltas.items():
             pair = total.get(s_index)
             if pair is None:
@@ -322,62 +123,51 @@ class ShardedKcRAlgorithm:
                 pair[0][i] += delta_max[i]
                 pair[1][i] += delta_min[i]
 
-    def _swap_in_exact(
-        self,
-        shard: Shard,
-        states: Sequence[_CandidateState],
-        cumulative: Dict[int, Contribution],
-        pending: Dict[int, bool],
-        query: SpatialKeywordQuery,
-    ) -> None:
+    def _swap_in_exact(self, shard: Shard) -> None:
         """Replace a shard's bound contribution with its exact counts.
 
         ``delta = exact − cumulative`` keeps the driver's running sums
         consistent whether the shard failed before contributing, mid
         batch, or was down from the start.
         """
-        exact = self._scan_contribution(shard, states, query)
-        previous = cumulative.get(shard.tid, {})
+        exact = self._scan_contribution(shard)
+        previous = self._cumulative.get(shard.tid, {})
         deltas: Contribution = {}
-        for s_index in range(len(states)):
-            exact_max, exact_min = exact[s_index]
-            prev = previous.get(s_index)
-            if prev is None:
-                deltas[s_index] = (list(exact_max), list(exact_min))
-            else:
-                deltas[s_index] = (
-                    [exact_max[i] - prev[0][i] for i in range(len(exact_max))],
-                    [exact_min[i] - prev[1][i] for i in range(len(exact_min))],
-                )
-        self._apply(states, deltas)
-        cumulative[shard.tid] = exact
-        pending[shard.tid] = False
+        for s_index, (exact_max, exact_min) in exact.items():
+            prev_max, prev_min = previous.get(
+                s_index, ([0] * len(exact_max), [0] * len(exact_min))
+            )
+            deltas[s_index] = (
+                [exact_max[i] - prev_max[i] for i in range(len(exact_max))],
+                [exact_min[i] - prev_min[i] for i in range(len(exact_min))],
+            )
+        apply_deltas(self._states, deltas)
+        self._cumulative[shard.tid] = exact
 
-    def _scan_contribution(
-        self,
-        shard: Shard,
-        states: Sequence[_CandidateState],
-        query: SpatialKeywordQuery,
-    ) -> Contribution:
+    def _scan_contribution(self, shard: Shard) -> Contribution:
         """Exact per-candidate dominator counts for one shard, index
         free — the same score arithmetic as the leaf-exact path, so the
         swapped-in bounds equal what a healthy traversal converges to.
         """
+        query = self._context.query
+        missing = self._context.missing
         alpha = query.alpha
         beta = 1.0 - alpha
-        n_missing = len(states[0].m_score) if states else 0
+        m_sdist = [
+            self.index.dataset.normalized_distance(m.loc, query.loc)
+            for m in missing
+        ]
+        states = scored_states(self.model, query, missing, self._batch, m_sdist)
+        n_missing = len(missing)
         exact: Contribution = {
             s_index: ([0] * n_missing, [0] * n_missing)
             for s_index in range(len(states))
         }
-        for obj in shard.dataset.objects:
-            spatial = alpha * (
-                1.0 - shard.dataset.normalized_distance(obj.loc, query.loc)
-            )
+        dataset = shard.dataset
+        for obj in dataset.objects:
+            spatial = alpha * (1.0 - dataset.normalized_distance(obj.loc, query.loc))
             for s_index, state in enumerate(states):
-                tsim = self.model.similarity(
-                    obj.doc, state.candidate.keywords
-                )
+                tsim = self.model.similarity(obj.doc, state.candidate.keywords)
                 score = spatial + beta * tsim
                 counts = exact[s_index]
                 for i in range(n_missing):

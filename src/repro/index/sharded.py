@@ -555,7 +555,7 @@ def _worker_admin(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
         return True
     if op == "rebuild":
         _, kind, model = message
-        state.pop("kcr_traversal", None)
+        state.pop("kcr_walker", None)
         state.pop(("searcher", kind), None)
         shard.drop_tree(kind)
         tree = shard.ensure_tree(kind)
@@ -597,19 +597,16 @@ def _worker_execute(shard: Shard, state: Dict[str, Any], message: Tuple) -> Any:
             query, missing, keywords=keywords, stop_limit=stop_limit
         )
     if op == "kcr_init":
-        from ..core.kcr_sharded import ShardTraversal  # lazy: import cycle
+        from ..core.kcr_algorithm import KcRWalker  # lazy: import cycle
 
         _, query, missing, batch, model = message
-        traversal = ShardTraversal(
-            shard.built_tree("kcr"), model, query, missing, batch
-        )
-        state["kcr_traversal"] = traversal
-        return traversal.initial_deltas(), traversal.has_more()
+        walker = KcRWalker(shard.built_tree("kcr"))
+        state["kcr_walker"] = walker
+        return walker.start(model, query, missing, batch), walker.has_more()
     if op == "kcr_step":
         _, alive = message
-        traversal = state["kcr_traversal"]
-        deltas = traversal.step(alive)
-        return deltas, traversal.has_more()
+        walker = state["kcr_walker"]
+        return walker.step(alive), walker.has_more()
     raise InvalidParameterError(f"unknown shard op {op!r}")
 
 

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import KcRAlgorithm, KcRTree, make_micro_example
+from repro import KcRTree, make_micro_example
 from repro.core.candidates import Candidate
-from repro.core.kcr_algorithm import _CandidateState
+from repro.core.kcr_algorithm import KcRWalker, _CandidateState
 
 
 class TestCandidateState:
@@ -42,21 +42,21 @@ class TestAlgorithmPlumbing:
         shortcut: every kcm access must still go through the buffer."""
         dataset, vocab = micro
         tree = KcRTree(dataset, capacity=2)
-        algorithm = KcRAlgorithm(tree)
+        walker = KcRWalker(tree)
         record = tree.root_summary_record
         tree.reset_buffer()
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)
+        walker._node_stats(record)
         first = tree.stats.snapshot() - before
         assert first.page_reads > 0
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)  # cached stats, buffered page
+        walker._node_stats(record)  # cached stats, buffered page
         second = tree.stats.snapshot() - before
         assert second.buffer_hits == 1
         assert second.page_reads == 0
         tree.reset_buffer()
         before = tree.stats.snapshot()
-        algorithm._node_stats(record)  # cached stats, cold buffer
+        walker._node_stats(record)  # cached stats, cold buffer
         third = tree.stats.snapshot() - before
         assert third.page_reads > 0  # the fetch is still charged
 
@@ -70,9 +70,9 @@ class TestAlgorithmPlumbing:
         """geo_lower <= geo_upper componentwise (MinDist <= MaxDist)."""
         dataset, _ = micro
         tree = KcRTree(dataset, capacity=2)
-        algorithm = KcRAlgorithm(tree)
+        walker = KcRWalker(tree)
         rect = tree.root_rect
-        lower, upper = algorithm._geo_offsets(
+        lower, upper = walker._geo_offsets(
             rect, (0.0, 0.0), 0.5, [0.2, 0.7]
         )
         for lo, hi in zip(lower, upper):

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import InvalidParameterError, WhyNotEngine
+from repro import InvalidParameterError, WhyNotEngine, make_euro_like
 from repro.analysis.sanitize import check_shard_manifest
+from repro.experiments.workload import WorkloadGenerator
 from repro.index.sharded import ShardedIndex, load_sharded, save_sharded
 from repro.storage.faults import FaultInjector
 from repro.storage.integrity import load_checked_json, save_checked_json
 
 SHARD_COUNTS = (1, 2, 5)
+DETERMINISTIC_IO = ("page_reads", "page_writes", "node_fetches", "buffer_hits")
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,41 @@ class TestShardedParity:
             for ledger in index.ledgers(kind).values():
                 by_hand = ledger if by_hand is None else by_hand + ledger
             assert index.ledger_total(kind) == by_hand
+
+
+class TestSingleShardKcR:
+    """One shard is the single tree's one-walker case of the round
+    driver: same answer, same counters, same deterministic I/O."""
+
+    def _assert_kcr_parity(self, dataset, questions):
+        unsharded = WhyNotEngine(dataset)
+        one_shard = WhyNotEngine(dataset, shards=1)
+        try:
+            for question in questions:
+                base = unsharded.answer(question, method="kcr")
+                answer = one_shard.answer(question, method="kcr")
+                assert answer.refined == base.refined
+                assert answer.initial_rank == base.initial_rank
+                assert answer.counters == base.counters
+                for field in DETERMINISTIC_IO:
+                    assert getattr(answer.io, field) == getattr(
+                        base.io, field
+                    ), field
+        finally:
+            one_shard.close()
+
+    def test_euro_cases(self, euro_small, euro_cases):
+        dataset, _ = euro_small
+        self._assert_kcr_parity(dataset, euro_cases)
+
+    def test_children_enqueued_under_post_sweep_flags(self):
+        """A question where enqueueing under the pre-sweep alive flags
+        expands one node the single tree skips."""
+        dataset, _ = make_euro_like(3000, seed=7)
+        case = WorkloadGenerator(dataset, seed=437).generate(
+            2, n_keywords=4, n_missing=3, lam=0.7, max_extra_keywords=3
+        )[1]
+        self._assert_kcr_parity(dataset, [case.question])
 
 
 class TestShardedGuards:
