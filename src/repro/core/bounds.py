@@ -39,7 +39,9 @@ binary-searches the right boundary — ``O(log² cnt)`` evaluations, each
 the paper's ``O(cnt)`` step-by-step set updates.  The literal
 Algorithm 2 scan is kept as :func:`max_dom_scan` /
 :func:`min_dom_scan` (reference semantics; equivalence is
-property-tested).
+property-tested).  :class:`DomBatch` runs the same search for a whole
+grid of (node, keyword set, threshold) elements in lockstep numpy
+rounds, with results equal to :func:`max_dom` / :func:`min_dom`.
 
 ``MinDom`` mirrors this: it bounds the number of possible
 *non*-dominators (``TSim ≤ U``) through the concave feasibility
@@ -55,8 +57,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from ..errors import ensure
 from ..model.geometry import Point, Rect
 
 __all__ = [
@@ -67,6 +72,8 @@ __all__ = [
     "max_dom_scan",
     "min_dom_scan",
     "object_dominates",
+    "keyword_incidence",
+    "DomBatch",
 ]
 
 KeywordSet = FrozenSet[int]
@@ -82,7 +89,9 @@ class NodeTextStats:
     counts of the keywords in ``S``.
     """
 
-    __slots__ = ("cnt", "kcm", "_sorted", "_prefix", "total", "_rel_cache")
+    __slots__ = (
+        "cnt", "kcm", "_sorted", "_prefix", "total", "_rel_cache", "_sorted_array"
+    )
 
     def __init__(self, cnt: int, kcm: KcMap) -> None:
         self.cnt = cnt
@@ -94,6 +103,14 @@ class NodeTextStats:
         self._prefix = prefix
         self.total = prefix[-1]
         self._rel_cache: Dict[KeywordSet, "_RelStats"] = {}
+        self._sorted_array: Optional[np.ndarray] = None
+
+    def sorted_array(self) -> np.ndarray:
+        """The sorted counts as ``int64``, built on first use by
+        :class:`DomBatch`."""
+        if self._sorted_array is None:
+            self._sorted_array = np.array(self._sorted, dtype=np.int64)
+        return self._sorted_array
 
     def excess(self, x: int) -> int:
         """``Σ_t max(0, count(t) − x)`` over every keyword of the node."""
@@ -374,6 +391,270 @@ def min_dom_scan(
         if g(ans) >= 0:
             return cnt - ans
     return cnt
+
+
+# ----------------------------------------------------------------------
+# batched MaxDom / MinDom: the scalar searches replayed in lockstep
+# ----------------------------------------------------------------------
+#: ``f(elements, ans)``: the MaxDom ``f`` or MinDom ``g`` of each listed
+#: grid element at its own ``ans``.
+_Probe = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def keyword_incidence(
+    keyword_sets: Sequence[KeywordSet],
+) -> Tuple[List[int], np.ndarray]:
+    """``(universe, incidence)`` for a batch of keyword sets.
+
+    ``universe`` is the sorted union of the sets and ``incidence`` the
+    boolean ``(sets × universe)`` matrix, the candidate side of
+    :class:`DomBatch` and of the batched KcR leaf scoring.
+    """
+    universe = sorted(set().union(*keyword_sets))
+    column = {term: col for col, term in enumerate(universe)}
+    incidence = np.zeros((len(keyword_sets), len(universe)), dtype=bool)
+    for row, keywords in enumerate(keyword_sets):
+        incidence[row, [column[t] for t in keywords]] = True
+    return universe, incidence
+
+
+def _lockstep_boundary(
+    f: _Probe, elements: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """:func:`_boundary_right` for every element at once."""
+    left = left.copy()
+    right = right.copy()
+    todo = np.flatnonzero(left + 1 < right)
+    while todo.size:
+        mid = (left[todo] + right[todo]) // 2
+        ok = f(elements[todo], mid) >= 0
+        left[todo[ok]] = mid[ok]
+        right[todo[~ok]] = mid[~ok]
+        todo = todo[left[todo] + 1 < right[todo]]
+    return left
+
+
+def _lockstep_largest_nonneg(
+    f: _Probe,
+    elements: np.ndarray,
+    hi: np.ndarray,
+    peak_hint: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """:func:`_largest_nonneg` over ``[1, hi]`` for every element at once.
+
+    Each element takes exactly the scalar branch sequence — right
+    endpoint, hint pivot, ternary narrowing, first maximiser of the last
+    ≤3 points, right-boundary bisection — so it probes the same ``ans``
+    values and returns the same integer; ``0`` stands for ``None``.
+    """
+    result = np.zeros(len(elements), dtype=np.int64)
+    todo = np.flatnonzero(hi >= 1)
+    at_hi = f(elements[todo], hi[todo]) >= 0
+    result[todo[at_hi]] = hi[todo[at_hi]]
+    todo = todo[~at_hi]
+    a = np.ones(len(elements), dtype=np.int64)
+    b = hi.copy()
+    if peak_hint is not None:
+        hinted = todo[peak_hint[todo] < hi[todo]]
+        pivot = np.maximum(1, peak_hint[hinted])
+        past = f(elements[hinted], pivot) >= 0
+        done = hinted[past]
+        result[done] = _lockstep_boundary(f, elements[done], pivot[past], hi[done])
+        b[hinted[~past]] = pivot[~past]
+        todo = todo[np.isin(todo, done, invert=True)]
+    wide = todo[b[todo] - a[todo] > 2]
+    while wide.size:
+        third = (b[wide] - a[wide]) // 3
+        m1 = a[wide] + third
+        m2 = b[wide] - third
+        values = f(
+            np.concatenate((elements[wide], elements[wide])), np.concatenate((m1, m2))
+        )
+        rising = values[: len(wide)] < values[len(wide):]
+        a[wide[rising]] = m1[rising] + 1
+        b[wide[~rising]] = m2[~rising] - 1
+        wide = wide[b[wide] - a[wide] > 2]
+    start = a[todo]
+    peak = start.copy()
+    best = f(elements[todo], start)
+    for offset in (1, 2):
+        has = np.flatnonzero(start + offset <= b[todo])
+        values = f(elements[todo[has]], start[has] + offset)
+        better = values > best[has]  # strict: max() keeps the first maximiser
+        peak[has[better]] = start[has[better]] + offset
+        best[has[better]] = values[better]
+    found = best >= 0
+    result[todo[found]] = _lockstep_boundary(
+        f, elements[todo[found]], peak[found], hi[todo[found]]
+    )
+    return result
+
+
+class DomBatch:
+    """:func:`max_dom` / :func:`min_dom` over a whole grid of
+    (node, keyword set, threshold) elements in lockstep numpy rounds.
+
+    The grid is ``len(nodes) × len(incidence) × n_thresholds`` and is
+    flattened in that order.  Every element replays the scalar search —
+    the same early outs, the same ``f``/``g`` expressions in the same
+    operand order, the same ``rel.cmax`` pivot, ternary probes and
+    bisection — so each result equals the scalar function's by
+    construction, float corner cases included.  Only the arithmetic is
+    batched: a round evaluates ``f`` or ``g`` once for every element
+    still searching.
+
+    The node side of ``excess(x)`` is one ``searchsorted`` over the
+    nodes' concatenated sorted counts, each node's block offset by
+    ``node · stride`` so one search never crosses into a neighbour.
+    The keyword-set side is an ``(elements × universe)`` count matrix,
+    zero where a term is outside the set or the node.  Callers bound
+    the grid size; temporaries are ``O(elements × |universe|)``
+    whatever the nodes' ``cnt``.
+    """
+
+    def __init__(
+        self,
+        nodes: Sequence[NodeTextStats],
+        universe: Sequence[int],
+        incidence: np.ndarray,
+        n_thresholds: int,
+    ) -> None:
+        n_sets = incidence.shape[0]
+        self.shape = (len(nodes), n_sets, n_thresholds)
+        counts = np.array(
+            [[stats.kcm.get(t, 0) for t in universe] for stats in nodes],
+            dtype=np.int64,
+        ).reshape(len(nodes), len(universe))
+        present = np.array(
+            [[t in stats.kcm for t in universe] for stats in nodes], dtype=bool
+        ).reshape(len(nodes), len(universe))
+        rel = counts[:, None, :] * incidence[None, :, :]
+        n_rel = (present[:, None, :] & incidence[None, :, :]).sum(axis=2)
+        n_keywords = np.broadcast_to(incidence.sum(axis=1), n_rel.shape)
+        cmax = rel.max(axis=2, initial=0)
+
+        def per_element(pairs: np.ndarray) -> np.ndarray:
+            """(node, set) pair values repeated for each threshold."""
+            flat_pairs = pairs.reshape((len(nodes) * n_sets,) + pairs.shape[2:])
+            return np.repeat(flat_pairs, n_thresholds, axis=0)
+
+        self.rel = per_element(rel)
+        self.rel_total = self.rel.sum(axis=1)
+        self.n_rel = per_element(n_rel)
+        self.n_keywords = per_element(n_keywords)
+        self.cmax = per_element(cmax)
+
+        sorted_counts = [stats.sorted_array() for stats in nodes]
+        lengths = np.array([len(c) for c in sorted_counts], dtype=np.int64)
+        cnt = np.array([stats.cnt for stats in nodes], dtype=np.int64)
+        total = np.array([stats.total for stats in nodes], dtype=np.int64)
+        stride = 1 + max(
+            [int(cnt.max(initial=0))] + [int(c[-1]) for c in sorted_counts if len(c)]
+        )
+        flat = np.concatenate(sorted_counts + [np.zeros(0, dtype=np.int64)])
+        node_of = np.repeat(np.arange(len(nodes), dtype=np.int64), lengths)
+        self.keys = node_of * stride + flat
+        self.prefix = np.concatenate(([0], np.cumsum(flat)))
+        end = np.cumsum(lengths)
+
+        def per_node(values: np.ndarray) -> np.ndarray:
+            return np.repeat(values, n_sets * n_thresholds)
+
+        self.cnt = per_node(cnt)
+        self.total = per_node(total)
+        self.key_base = per_node(np.arange(len(nodes), dtype=np.int64) * stride)
+        self.end = per_node(end)
+        self.prefix_end = per_node(self.prefix[end])
+        self.irr_total = self.total - self.rel_total
+
+    def _check_shape(self, thresholds: np.ndarray) -> None:
+        ensure(
+            thresholds.shape == self.shape,
+            f"thresholds of shape {thresholds.shape} do not match the "
+            f"(nodes, sets, thresholds) grid {self.shape}",
+        )
+
+    def _excess(self, elements: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """:meth:`NodeTextStats.excess` per element."""
+        position = np.searchsorted(self.keys, self.key_base[elements] + x, side="right")
+        above = self.end[elements] - position
+        value = (self.prefix_end[elements] - self.prefix[position]) - above * x
+        return np.where(x <= 0, self.total[elements], value)
+
+    def _rel_excess(
+        self, elements: np.ndarray, rows: np.ndarray, x: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`_RelStats.excess` per element."""
+        value = np.maximum(rows - x[:, None], 0).sum(axis=1)
+        return np.where(x <= 0, self.rel_total[elements], value)
+
+    def max_dom(self, lower: np.ndarray) -> np.ndarray:
+        """:func:`max_dom` of every element; ``lower`` has the grid's
+        shape and so does the result."""
+        self._check_shape(lower)
+        thresholds = lower.reshape(-1)
+        cnt = self.cnt
+        result = np.where(thresholds <= 0.0, cnt, 0)
+        searching = ~(thresholds <= 0.0) & ~(thresholds > 1.0)
+        searching &= (self.n_rel > 0) & (self.n_keywords > 0)
+        searching &= ~(thresholds * self.n_keywords > self.n_rel)
+        elements = np.flatnonzero(searching)
+
+        def f(at: np.ndarray, ans: np.ndarray) -> np.ndarray:
+            rows = self.rel[at]
+            x = cnt[at] - ans
+            denominator = self.n_keywords[at] * ans + (
+                self._excess(at, x) - self._rel_excess(at, rows, x)
+            )
+            capped = np.minimum(rows, ans[:, None]).sum(axis=1)
+            return capped - thresholds[at] * denominator
+
+        result[elements] = _lockstep_largest_nonneg(
+            f, elements, cnt[elements], peak_hint=self.cmax[elements]
+        )
+        return result.reshape(lower.shape)
+
+    def min_dom(
+        self, upper: np.ndarray, only: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:func:`min_dom` of every element; ``upper`` has the grid's
+        shape and so does the result.  Elements outside the boolean
+        ``only`` mask are reported as 0 without evaluation — the
+        walker's shortcut for a MaxDom of 0."""
+        self._check_shape(upper)
+        thresholds = upper.reshape(-1)
+        cnt = self.cnt
+        chosen = (
+            np.ones(len(thresholds), dtype=bool) if only is None else only.reshape(-1)
+        )
+        result = np.where(chosen & (thresholds < 0.0), cnt, 0)
+        searching = chosen & ~(thresholds < 0.0) & ~(thresholds >= 1.0)
+        searching &= (self.n_keywords > 0) & (self.n_rel > 0)
+        elements = np.flatnonzero(searching)
+
+        def g(at: np.ndarray, ans: np.ndarray) -> np.ndarray:
+            rows = self.rel[at]
+            forced_rel = self._rel_excess(at, rows, cnt[at] - ans)
+            padded_union = self.n_keywords[at] * ans + (
+                self.irr_total[at]
+                - (self._excess(at, ans) - self._rel_excess(at, rows, ans))
+            )
+            return thresholds[at] * padded_union - forced_rel
+
+        elements = elements[g(elements, cnt[elements]) < 0.0]
+        anchor = cnt[elements] - self.cmax[elements]
+        bisect_ok = anchor >= 1
+        probed = np.flatnonzero(bisect_ok)
+        bisect_ok[probed] = g(elements[probed], anchor[probed]) >= 0.0
+        bisected = elements[bisect_ok]
+        result[bisected] = cnt[bisected] - _lockstep_boundary(
+            g, bisected, anchor[bisect_ok], cnt[bisected]
+        )
+        searched = elements[~bisect_ok]
+        result[searched] = cnt[searched] - _lockstep_largest_nonneg(
+            g, searched, cnt[searched]
+        )
+        return result.reshape(upper.shape)
 
 
 def object_dominates(

@@ -44,11 +44,12 @@ from ..index.kcr_tree import KcRTree
 from ..model.objects import SpatialObject
 from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
-from .bounds import NodeTextStats, max_dom, min_dom
+from .bounds import DomBatch, NodeTextStats, keyword_incidence, max_dom, min_dom
 from .candidates import Candidate
 from .context import QuestionContext
 from .penalty import PenaltyModel
 from .result import RefinedQuery, SearchCounters, WhyNotAnswer
+from .vectorized import PackedLeaf, batch_distances, batch_membership, vectorize_enabled
 
 __all__ = ["KcRAlgorithm", "KcRWalker", "sweep_candidates"]
 
@@ -59,6 +60,11 @@ Contribution = Dict[int, Tuple[List[int], List[int]]]
 #: One walker's reply to a round: ``(walker key, deltas, has_more)``;
 #: ``deltas`` is ``None`` when the step expanded no node.
 Reply = Tuple[Any, Optional[Contribution], bool]
+
+#: Most (child, candidate, missing object) elements one batched
+#: MaxDom/MinDom call holds; a branch's children are sliced to fit, so
+#: the kernel's temporaries stay bounded whatever the children's size.
+_SLICE_ELEMENTS = 4096
 
 
 class _CandidateState:
@@ -142,8 +148,6 @@ class KcRAlgorithm:
                 "the KcR-tree bounds (Theorems 2-3) are Jaccard-specific; "
                 f"got model {model.name!r}"
             )
-        from .vectorized import vectorize_enabled
-
         self.tree = tree
         self.model = model
         self.vectorize = vectorize_enabled(vectorize)
@@ -258,8 +262,6 @@ class KcRWalker:
     """
 
     def __init__(self, tree: KcRTree, vectorize: Optional[bool] = None) -> None:
-        from .vectorized import vectorize_enabled
-
         self.tree = tree
         self.vectorize = vectorize_enabled(vectorize)
         # NodeTextStats is O(|kcm| log |kcm|) to build; cache per aux
@@ -288,6 +290,12 @@ class KcRWalker:
             tree.dataset.normalized_distance(m.loc, query.loc) for m in missing
         ]
         self.states = scored_states(model, query, missing, batch, self.m_sdist)
+        if self.vectorize:
+            self.universe, self.incidence = keyword_incidence(
+                [state.candidate.keywords for state in self.states]
+            )
+            self.m_tsim = np.array([state.m_tsim for state in self.states])
+            self.m_score = np.array([state.m_score for state in self.states])
         root_stats = self._node_stats(tree.root_summary_record)
         root_rect = ensure_not_none(tree.root_rect, "tree has no root MBR")
         root_geo = self._geo_offsets(root_rect, query.loc, self.alpha, self.m_sdist)
@@ -428,8 +436,13 @@ class KcRWalker:
         Returns ``(child_sums, child_infos)`` where ``child_sums`` maps
         candidate index to summed (dmax, dmin) vectors and
         ``child_infos`` pairs each child entry with its per-candidate
-        bounds for contribution bookkeeping.
+        bounds for contribution bookkeeping.  Vectorized, every alive
+        candidate is bounded against the children by :class:`DomBatch`
+        in slices of at most ``_SLICE_ELEMENTS`` elements; the scalar
+        per-candidate loop is the parity reference.
         """
+        if self.vectorize:
+            return self._branch_child_bounds_batched(node)
         states = self.states
         n_missing = len(self.m_sdist)
         child_infos = []
@@ -459,6 +472,55 @@ class KcRWalker:
             child_infos.append((entry, per_candidate))
         return child_sums, child_infos
 
+    def _branch_child_bounds_batched(
+        self, node
+    ) -> Tuple[Contribution, List[Tuple[Any, Contribution]]]:
+        """:meth:`_branch_child_bounds` through :class:`DomBatch`.
+
+        The children's count maps are fetched in entry order first, so
+        the accounted I/O sequence is the scalar loop's.
+        """
+        entries = node.child_entries
+        stats = [self._node_stats(entry.aux_record) for entry in entries]
+        n_missing = len(self.m_sdist)
+        geo = [
+            self._geo_offsets(entry.rect, self.query.loc, self.alpha, self.m_sdist)
+            for entry in entries
+        ]
+        shape = (len(entries), n_missing)
+        geo_lower = np.array([lower for lower, _ in geo]).reshape(shape)
+        geo_upper = np.array([upper for _, upper in geo]).reshape(shape)
+        alive = [s_index for s_index, state in enumerate(self.states) if state.alive]
+        incidence = self.incidence[alive]
+        m_tsim = self.m_tsim[alive][np.newaxis, :, :]
+        dmax = np.zeros((len(entries), len(alive), n_missing), dtype=np.int64)
+        dmin = np.zeros_like(dmax)
+        step = max(1, _SLICE_ELEMENTS // max(1, len(alive) * n_missing))
+        for first in range(0, len(entries), step):
+            part = slice(first, first + step)
+            kernel = DomBatch(stats[part], self.universe, incidence, n_missing)
+            dmax[part] = kernel.max_dom(geo_lower[part, np.newaxis, :] + m_tsim)
+            dmin[part] = kernel.min_dom(
+                geo_upper[part, np.newaxis, :] + m_tsim, only=dmax[part] != 0
+            )
+
+        zeros = {
+            s_index: ([0] * n_missing, [0] * n_missing)
+            for s_index in range(len(self.states))
+        }
+        child_sums: Contribution = dict(zeros)
+        child_sums.update(
+            zip(alive, zip(dmax.sum(axis=0).tolist(), dmin.sum(axis=0).tolist()))
+        )
+        max_rows = dmax.tolist()
+        min_rows = dmin.tolist()
+        child_infos = []
+        for child, entry in enumerate(entries):
+            per_candidate: Contribution = dict(zeros)
+            per_candidate.update(zip(alive, zip(max_rows[child], min_rows[child])))
+            child_infos.append((entry, per_candidate))
+        return child_sums, child_infos
+
     def _leaf_exact_sums(self, node) -> Contribution:
         """Exact dominator counts for the objects of a leaf node.
 
@@ -467,10 +529,10 @@ class KcRWalker:
         so each candidate's Jaccard similarities for the whole leaf
         reduce to a column-slice sum.  When the leaf carries a healthy
         packed columnar block (:mod:`repro.core.vectorized`) and
-        vectorization is on, the intersections come from bitmask
-        popcounts instead — exact small integers in float64 either way,
-        so the resulting scores are bit-identical.  Doc fetches stay
-        per-object (I/O-accounted); only the arithmetic is batched.
+        vectorization is on, :meth:`_leaf_sums_packed` scores the leaf
+        against every alive candidate at once instead.  Doc fetches
+        stay per-object (I/O-accounted); only the arithmetic is
+        batched.
         """
         tree = self.tree
         states = self.states
@@ -479,24 +541,21 @@ class KcRWalker:
         n_missing = len(self.m_sdist)
         entries = node.object_entries
         docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
-        packed = tree.packed_leaf(node) if self.vectorize else None
-        if packed is not None and len(packed) != len(entries):
-            packed = None
-        if packed is not None:
-            from .vectorized import batch_intersections
-        else:
-            term_index: Dict[int, int] = {}
-            for doc in docs:
-                for term in doc:
-                    if term not in term_index:
-                        term_index[term] = len(term_index)
-            incidence = np.zeros(
-                (len(entries), max(1, len(term_index))), dtype=np.float64
-            )
-            for row, doc in enumerate(docs):
-                for term in doc:
-                    incidence[row, term_index[term]] = 1.0
         doc_lengths = np.array([len(doc) for doc in docs], dtype=np.float64)
+        packed = tree.packed_leaf(node) if self.vectorize else None
+        if packed is not None and len(packed) == len(entries):
+            return self._leaf_sums_packed(packed, doc_lengths)
+        term_index: Dict[int, int] = {}
+        for doc in docs:
+            for term in doc:
+                if term not in term_index:
+                    term_index[term] = len(term_index)
+        incidence = np.zeros(
+            (len(entries), max(1, len(term_index))), dtype=np.float64
+        )
+        for row, doc in enumerate(docs):
+            for term in doc:
+                incidence[row, term_index[term]] = 1.0
         spatial = np.array(
             [
                 alpha * (1.0 - tree.dataset.normalized_distance(e.loc, self.query.loc))
@@ -513,18 +572,11 @@ class KcRWalker:
             if not state.alive:
                 continue
             keywords = state.candidate.keywords
-            if packed is not None:
-                # Popcount over the packed bitmask block: exact small
-                # integers in float64, identical to the column sums.
-                inter = batch_intersections(
-                    packed.masks, tree.vocab.encode(keywords)
-                )
+            columns = [term_index[t] for t in keywords if t in term_index]
+            if columns:
+                inter = incidence[:, columns].sum(axis=1)
             else:
-                columns = [term_index[t] for t in keywords if t in term_index]
-                if columns:
-                    inter = incidence[:, columns].sum(axis=1)
-                else:
-                    inter = np.zeros(len(entries))
+                inter = np.zeros(len(entries))
             union = doc_lengths + float(len(keywords)) - inter
             with np.errstate(divide="ignore", invalid="ignore"):
                 tsim = np.where(union > 0.0, inter / union, 0.0)
@@ -534,6 +586,39 @@ class KcRWalker:
                 count = int(np.count_nonzero(scores > state.m_score[i]))
                 dmax[i] += count
                 dmin[i] += count
+        return sums
+
+    def _leaf_sums_packed(
+        self, packed: PackedLeaf, doc_lengths: np.ndarray
+    ) -> Contribution:
+        """:meth:`_leaf_exact_sums` for every alive candidate at once.
+
+        Intersections are the leaf's (objects × universe) membership
+        bits times the candidates' incidence — exact small integers in
+        float64, as are the scalar column sums — and each score column
+        is compared against the candidate's ``m_score`` row in one
+        broadcast, so every count equals the scalar loop's.
+        """
+        tree = self.tree
+        n_missing = len(self.m_sdist)
+        alive = [s_index for s_index, state in enumerate(self.states) if state.alive]
+        incidence = self.incidence[alive]
+        dist = batch_distances(packed.xs, packed.ys, self.query.loc, tree.dataset)
+        spatial = self.alpha * (1.0 - dist)
+        member = batch_membership(packed.masks, tree.vocab, self.universe)
+        inter = member @ incidence.T.astype(np.float64)
+        n_keywords = incidence.sum(axis=1).astype(np.float64)
+        union = doc_lengths[:, np.newaxis] + n_keywords - inter
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tsim = np.where(union > 0.0, inter / union, 0.0)
+        scores = spatial[:, np.newaxis] + self.beta * tsim
+        beaten = scores[:, :, np.newaxis] > self.m_score[alive][np.newaxis, :, :]
+        counts = np.count_nonzero(beaten, axis=0).tolist()
+        sums: Contribution = {
+            s_index: ([0] * n_missing, [0] * n_missing)
+            for s_index in range(len(self.states))
+        }
+        sums.update((s_index, (row, list(row))) for s_index, row in zip(alive, counts))
         return sums
 
 

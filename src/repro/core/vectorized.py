@@ -63,6 +63,7 @@ __all__ = [
     "PackedLeaf",
     "batch_distances",
     "batch_intersections",
+    "batch_membership",
     "batch_similarity",
     "batch_st",
     "batch_penalties",
@@ -254,6 +255,33 @@ def batch_intersections(masks: np.ndarray, query_mask: np.ndarray) -> np.ndarray
         return np.zeros(masks.shape[0], dtype=np.float64)
     joint = masks[:, :width] & query_mask[np.newaxis, :width]
     return np.bitwise_count(joint).sum(axis=1, dtype=np.int64).astype(np.float64)
+
+
+def batch_membership(
+    masks: np.ndarray, vocab: VocabularyIndex, terms: Sequence[int]
+) -> np.ndarray:
+    """``term ∈ doc`` per packed row and term, as exact 0/1 ``float64``.
+
+    Extracts just the ``terms``' bits from the packed block; a term
+    outside the vocabulary, or past the block's (older, narrower)
+    width, is in no row — the same common-prefix rule as
+    :func:`batch_intersections`, so ``membership @ incidence`` equals
+    its popcounts.
+    """
+    out = np.zeros((masks.shape[0], len(terms)), dtype=np.float64)
+    columns = []
+    positions = []
+    for column, term in enumerate(terms):
+        position = vocab._bit.get(term)
+        if position is not None and position // _BLOCK_BITS < masks.shape[1]:
+            columns.append(column)
+            positions.append(position)
+    if columns:
+        where = np.array(positions, dtype=np.int64)
+        shifts = (where % _BLOCK_BITS).astype(np.uint64)
+        bits = (masks[:, where // _BLOCK_BITS] >> shifts) & np.uint64(1)
+        out[:, columns] = bits
+    return out
 
 
 def batch_similarity(

@@ -2,14 +2,18 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.bounds import (
+    DomBatch,
     DominationThresholds,
     NodeTextStats,
+    keyword_incidence,
     max_dom,
     min_dom,
 )
+from repro.errors import InvariantViolationError
 from repro.model.geometry import Rect
 
 
@@ -134,6 +138,23 @@ class TestMinDomEdgeCases:
             assert min_dom(stats, keywords, threshold) <= max_dom(
                 stats, keywords, threshold
             )
+
+
+class TestDomBatch:
+    def test_example5_through_the_kernel(self):
+        stats = NodeTextStats(8, {1: 8, 2: 3, 3: 7, 4: 2, 5: 1})
+        universe, incidence = keyword_incidence([frozenset({3, 4})])
+        kernel = DomBatch([stats], universe, incidence, 1)
+        assert kernel.max_dom(np.array([[[0.395]]])).tolist() == [[[6]]]
+
+    def test_threshold_grid_must_match(self):
+        stats = NodeTextStats(8, {1: 8, 2: 3})
+        universe, incidence = keyword_incidence([frozenset({1}), frozenset({2})])
+        kernel = DomBatch([stats], universe, incidence, 3)
+        with pytest.raises(InvariantViolationError):
+            kernel.max_dom(np.zeros((1, 2, 2)))
+        with pytest.raises(InvariantViolationError):
+            kernel.min_dom(np.zeros((2, 2, 3)))
 
 
 class TestThresholds:

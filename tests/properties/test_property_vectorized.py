@@ -14,6 +14,9 @@ floats.  The CI ``bench`` job re-runs this suite with
 ``REPRO_VECTORIZE=0`` to prove the scalar fallback answers match too.
 """
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,10 +35,12 @@ from repro import (
     load_index,
     save_index,
 )
+from repro.core.bounds import keyword_incidence
 from repro.core.penalty import PenaltyModel
 from repro.core.vectorized import (
     PackedLeaf,
     VocabularyIndex,
+    batch_membership,
     batch_penalties,
     batch_similarity,
     leaf_scores,
@@ -165,6 +170,66 @@ class TestAlgorithmParity:
         assert vector.refined.rank == scalar.refined.rank
 
 
+@st.composite
+def deep_worlds(draw):
+    """Worlds big enough that ``KcRTree(capacity=4)`` is at least three
+    levels deep, so branch children hold many more objects than the
+    capacity and the batched MaxDom/MinDom search runs many rounds."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    n = draw(st.integers(min_value=80, max_value=200))
+    objects = [
+        SpatialObject(
+            oid=i,
+            loc=(rng.random(), rng.random()),
+            doc=frozenset(rng.sample(range(12), rng.randint(0, 4))),
+        )
+        for i in range(n)
+    ]
+    dataset = Dataset(objects, diagonal=2.0**0.5)
+    query = SpatialKeywordQuery(
+        loc=(rng.random(), rng.random()),
+        doc=frozenset(rng.sample(range(15), rng.randint(1, 3))),
+        k=rng.randint(1, 10),
+        alpha=draw(st.floats(min_value=0.1, max_value=0.9)),
+    )
+    missing = tuple(rng.sample(range(n), draw(st.integers(min_value=1, max_value=3))))
+    return dataset, query, missing
+
+
+class TestDeepTreeKcRParity:
+    """The batched KcR bounds and leaf scoring against the scalar loops
+    on multi-level trees: same answer, same work, same I/O."""
+
+    @given(deep_worlds(), st.floats(min_value=0.05, max_value=0.95), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_kcr_deep_tree_parity(self, world, lam, drop_packed):
+        dataset, query, missing = world
+        rank = ScanFallback(dataset).rank_of_missing(
+            query, [dataset.get(oid) for oid in missing]
+        )
+        if rank <= query.k:
+            return
+        question = WhyNotQuestion(query, missing, lam=lam)
+        answers = []
+        for vectorize in (False, True):
+            tree = KcRTree(dataset, capacity=4)
+            assert tree.height >= 3
+            if vectorize and drop_packed:
+                # Every other leaf loses its packed block and must fall
+                # back to the scalar loop with identical counts.
+                packed_leaf = tree.packed_leaf
+                calls = itertools.count()
+                tree.packed_leaf = lambda node: (
+                    None if next(calls) % 2 else packed_leaf(node)
+                )
+            answers.append(KcRAlgorithm(tree, vectorize=vectorize).answer(question))
+        scalar, vector = answers
+        assert vector.refined == scalar.refined
+        assert vector.initial_rank == scalar.initial_rank
+        assert vector.counters == scalar.counters
+        assert vector.io == scalar.io
+
+
 class TestKernelParity:
     """Kernels against the scalar model arithmetic, element by element."""
 
@@ -187,6 +252,32 @@ class TestKernelParity:
         )
         got = batch_similarity(model.name, inter, packed.doc_lens, len(qdoc))
         want = [model.similarity(doc, qdoc) for doc in docs]
+        assert got.tolist() == want
+
+    @given(
+        st.lists(st.frozensets(st.integers(0, 30), max_size=6), min_size=1,
+                 max_size=20),
+        st.lists(st.frozensets(st.integers(0, 200), max_size=5), min_size=1,
+                 max_size=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_membership(self, docs, keyword_sets):
+        """Membership bits times the keyword sets' incidence equal
+        ``len(doc & S)``, also for a block packed before the vocabulary
+        widened and for terms no document holds."""
+        vocab = VocabularyIndex()
+        for doc in docs:
+            vocab.extend(doc)
+        packed = PackedLeaf.build(
+            [(i, (0.0, 0.0), doc) for i, doc in enumerate(docs)], vocab
+        )
+        vocab.extend(range(100, 200))  # the block is now narrower
+        universe, incidence = keyword_incidence(keyword_sets)
+        member = batch_membership(packed.masks, vocab, universe)
+        got = member @ incidence.T.astype(np.float64)
+        want = [
+            [float(len(doc & keywords)) for keywords in keyword_sets] for doc in docs
+        ]
         assert got.tolist() == want
 
     @given(micro_worlds(), st.sampled_from(MODELS))
