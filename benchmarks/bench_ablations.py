@@ -1,21 +1,24 @@
 """Ablation benchmarks: design choices the paper fixes.
 
 Buffer fraction, node capacity, and the index-baseline comparison —
-each benchmarked through the same single-query harness as the figure
-benches.
+each over the BENCH dataset and seeded cases the figure benches use.
 """
 
 import pytest
 
 from repro import InvertedFileIndex, TopKSearcher, WhyNotEngine
+from repro.experiments.benchflows import BENCH_SEED, bench_case
+from repro.experiments.figures import engine_for
 
-from conftest import run_benchmark
+
+def _engine():
+    return engine_for("euro", 1500, BENCH_SEED)[1]
 
 
 @pytest.mark.parametrize("fraction", (0.05, 0.25, 1.0))
-def test_ablation_buffer(benchmark, harness, fraction):
-    case = harness.case("ablation-buffer", k0=10, n_keywords=4)
-    base_engine = harness.engine()
+def test_ablation_buffer(benchmark, fraction):
+    case = bench_case("ablation-buffer", k0=10, n_keywords=4)
+    base_engine = _engine()
     engine = WhyNotEngine(base_engine.dataset, buffer_fraction=fraction)
     _ = engine.kcr_tree
     benchmark.group = f"ablation buffer={fraction}"
@@ -28,9 +31,9 @@ def test_ablation_buffer(benchmark, harness, fraction):
 
 
 @pytest.mark.parametrize("capacity", (25, 100, 200))
-def test_ablation_capacity(benchmark, harness, capacity):
-    case = harness.case("ablation-capacity", k0=10, n_keywords=4)
-    base_engine = harness.engine()
+def test_ablation_capacity(benchmark, capacity):
+    case = bench_case("ablation-capacity", k0=10, n_keywords=4)
+    base_engine = _engine()
     engine = WhyNotEngine(base_engine.dataset, capacity=capacity)
     _ = engine.kcr_tree
     benchmark.group = f"ablation capacity={capacity}"
@@ -43,10 +46,10 @@ def test_ablation_capacity(benchmark, harness, capacity):
 
 
 @pytest.mark.parametrize("index_kind", ("setr", "kcr", "inverted"))
-def test_ablation_rank_determination(benchmark, harness, index_kind):
+def test_ablation_rank_determination(benchmark, index_kind):
     """The substrate comparison: one rank determination per index."""
-    case = harness.case("ablation-baseline", k0=10, n_keywords=4)
-    engine = harness.engine()
+    case = bench_case("ablation-baseline", k0=10, n_keywords=4)
+    engine = _engine()
     dataset = engine.dataset
     missing = [dataset.get(m) for m in case.question.missing]
     if index_kind == "inverted":

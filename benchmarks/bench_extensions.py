@@ -8,16 +8,24 @@ but regressions here would silently degrade the extended API.
 import pytest
 
 from repro import Dataset, SpatialObject, WhyNotEngine, make_euro_like
-
-from conftest import BENCH_SEED, run_benchmark
+from repro.experiments.benchflows import BENCH_SEED, bench_case
+from repro.experiments.figures import engine_for
+from repro.experiments.runner import MethodSpec, Runner
 
 
 @pytest.mark.parametrize("method", ("alpha", "location", "integrated"))
-def test_extension_methods(benchmark, harness, method):
-    case = harness.case("extensions", k0=10, n_keywords=4)
-    run_benchmark(
-        benchmark, harness, case, method, group="extensions why-not"
+def test_extension_methods(benchmark, method):
+    case = bench_case("extensions", k0=10, n_keywords=4)
+    runner = Runner(engine_for("euro", 1500, BENCH_SEED)[1])
+    benchmark.group = "extensions why-not"
+    record = benchmark.pedantic(
+        lambda: runner.run_case(case, MethodSpec(method, method)),
+        rounds=1,
+        iterations=1,
+        warmup_rounds=0,
     )
+    benchmark.extra_info["page_reads"] = record.answer.io.page_reads
+    benchmark.extra_info["penalty"] = round(record.answer.refined.penalty, 6)
 
 
 class TestMutations:

@@ -4,26 +4,18 @@ determination, and the MaxDom/MinDom bound estimators.
 Not paper figures — these track the building blocks whose costs the
 figures aggregate, so a regression here localises a regression there.
 
-Two entry points share the same units:
-
-* ``pytest benchmarks/bench_substrate.py --benchmark-only`` — the
-  interactive pytest-benchmark tables below, and
-* ``python benchmarks/bench_substrate.py [output.json]`` — delegates
-  to the ``substrate`` figure emitter in
-  :mod:`repro.experiments.benchflows`, which writes
-  ``BENCH_substrate.json`` with seeded p50/p99 latencies, buffer-pool
-  I/O counters, and the static analyzer's own runtime over
-  ``src/repro`` — all under the CI bench gate.
+The ``substrate`` emitter of :mod:`repro.experiments.benchflows`
+(``repro-whynot bench --emit --figures substrate``) writes the same
+units to ``BENCH_substrate.json`` with seeded p50/p99 latencies,
+buffer-pool I/O counters, and the static analyzer's own runtime over
+``src/repro`` — all under the CI bench gate.
 """
-
-import sys
 
 import pytest
 
 from repro import KcRTree, SetRTree, SpatialKeywordQuery, TopKSearcher, make_euro_like
 from repro.core.bounds import NodeTextStats, max_dom, min_dom
-
-from conftest import BENCH_SEED
+from repro.experiments.benchflows import BENCH_SEED
 
 
 @pytest.fixture(scope="module")
@@ -116,26 +108,3 @@ class TestBounds:
         stats = NodeTextStats(cnt, kcm)
         keywords = frozenset(list(kcm)[:4])
         benchmark(lambda: min_dom(stats, keywords, 0.7))
-
-
-# ----------------------------------------------------------------------
-# standalone JSON emitter
-# ----------------------------------------------------------------------
-
-def emit(path="BENCH_substrate.json", scale=1.0):
-    """Delegates to the registered ``substrate`` figure emitter, which
-    adds the analyzer self-runtime units to the micro-units above."""
-    from repro.experiments.benchflows import emit_figure
-
-    return emit_figure("substrate", path, scale=scale)
-
-
-def main(argv=None):
-    from repro.experiments.benchflows import emitter_main
-
-    print(emitter_main("substrate", argv))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

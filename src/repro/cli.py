@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -762,9 +761,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "full", False):
-        os.environ["REPRO_BENCH_FULL"] = "1"
-
     from .experiments import benchflows
 
     names = args.figures or sorted(benchflows.FIGURES)
@@ -781,18 +777,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     if args.emit:
         out_dir.mkdir(parents=True, exist_ok=True)
-    harness = benchflows.EmitterHarness()
     failures: List[str] = []
     for name in names:
         out_path = out_dir / f"BENCH_{name}.json"
-        payload = benchflows.emit_figure(
-            name,
-            out_path,
-            rounds=args.rounds,
-            scale=args.scale,
-            harness=harness,
-            write=args.emit,
-        )
+        try:
+            payload = benchflows.emit_figure(
+                name,
+                out_path,
+                rounds=args.rounds,
+                scale=args.scale,
+                write=args.emit,
+                full=args.full,
+            )
+        except benchflows.PenaltyMismatchError as exc:
+            failures.append(str(exc))
+            continue
         if args.emit:
             print(
                 f"wrote {out_path}: {len(payload['units'])} unit(s), "
@@ -809,12 +808,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 payload, baseline, tolerance=args.tolerance
             ):
                 failures.append(f"{name}: {failure}")
+    if failures:
+        print(f"bench gate FAILED ({len(failures)} regression(s)):")
+        for failure in failures:
+            print(f"  {failure}")
+        return 1
     if args.check:
-        if failures:
-            print(f"bench gate FAILED ({len(failures)} regression(s)):")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
         print(
             f"bench gate passed: {len(names)} figure(s) within "
             f"+{args.tolerance:.0%} of baseline"
@@ -1072,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full",
         action="store_true",
         help="run the full-size sharded scalability sweep (1M+ objects, "
-        "process mode); equivalent to REPRO_BENCH_FULL=1",
+        "process mode)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -1,9 +1,9 @@
-"""Experiment harness: configs, workloads, runners, per-figure drivers."""
+"""Experiment harness: configs, workloads, the runner, the figure declarations."""
 
 from .ablations import ABLATIONS, run_ablation
 from .charts import bar_chart, figure_chart
 from .config import PARAMETER_GRID, SCALES, Defaults, Scale
-from .figures import FIGURES, FigureResult, run_figure, table2_dataset_info
+from .figures import FIGURES, Figure, FigureResult, run_figure, table2_dataset_info
 from .reporting import figure_to_markdown, figure_to_text, rows_to_table
 from .runner import MethodAggregate, MethodSpec, PointResult, Runner
 from .workload import WorkloadCase, WorkloadGenerator
@@ -18,6 +18,7 @@ __all__ = [
     "Defaults",
     "Scale",
     "FIGURES",
+    "Figure",
     "FigureResult",
     "run_figure",
     "table2_dataset_info",

@@ -29,7 +29,7 @@ from ..errors import ensure
 from ..index.inverted import InvertedFileIndex
 from ..index.search import TopKSearcher
 from .config import SCALES, Defaults, Scale
-from .figures import FIGURES, FigureResult, _engine_for, _point_seed
+from .figures import FigureResult, _point_seed, engine_for
 from .runner import MethodAggregate, MethodSpec, PointResult, Runner
 from .workload import WorkloadGenerator
 
@@ -64,7 +64,7 @@ def _default_cases(scale: Scale, engine: WhyNotEngine, tag: str):
 def ablation_buffer(scale: Scale) -> FigureResult:
     """Sweep the buffer size (fraction of index pages)."""
     fractions = (0.05, 0.1, 0.25, 0.5, 1.0)
-    dataset, base_engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
+    dataset, base_engine = engine_for("euro", scale.euro_size, DEFAULTS.seed)
     cases = _default_cases(scale, base_engine, "ablation-buffer")
     points: List[PointResult] = []
     for fraction in fractions:
@@ -86,7 +86,7 @@ def ablation_buffer(scale: Scale) -> FigureResult:
 def ablation_capacity(scale: Scale) -> FigureResult:
     """Sweep the R-tree node capacity (the paper fixes 100)."""
     capacities = (25, 50, 100, 200)
-    dataset, base_engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
+    dataset, base_engine = engine_for("euro", scale.euro_size, DEFAULTS.seed)
     cases = _default_cases(scale, base_engine, "ablation-capacity")
     points: List[PointResult] = []
     for capacity in capacities:
@@ -112,7 +112,7 @@ def ablation_index_baseline(scale: Scale) -> FigureResult:
     related work implies: the same rank-determination searches the
     why-not algorithms issue, over the three index designs.
     """
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
+    dataset, engine = engine_for("euro", scale.euro_size, DEFAULTS.seed)
     cases = _default_cases(scale, engine, "ablation-baseline")
     inverted = InvertedFileIndex(dataset)
 

@@ -1,12 +1,13 @@
 """Deterministic per-figure benchmark emitters and the regression gate.
 
-Every ``benchmarks/bench_fig*.py`` script doubles as a standalone
-emitter (``python benchmarks/bench_fig04_vary_k0.py [out.json]``) that
-delegates here; the CLI verb ``repro-whynot bench`` drives the same
-machinery for whole batches.  Each emitter replays the figure's
-workload at a fixed seed and writes ``BENCH_fig*.json`` carrying:
+``repro-whynot bench`` writes one ``BENCH_<figure>.json`` per figure.
+The paper figures come from the same declarations and run loop as the
+``experiment`` tables (:mod:`repro.experiments.figures`), instantiated
+under the :data:`BENCH` protocol; ``substrate`` and ``serve`` are
+standalone emitters.  Every payload carries:
 
-* **p50/p99/mean latency** per unit (one unit per figure data point);
+* **p50/p99/mean latency** per unit (one unit per figure data point
+  and method);
 * **buffer-pool I/O** counters of the measured query (deterministic —
   a change here is a real behavioural regression, not noise);
 * **objects-scored/sec** for the leaf-scoring kernel, scalar versus
@@ -30,38 +31,67 @@ process and would unseed the workload.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import os
 import statistics
-import sys
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.engine import WhyNotEngine
-from ..data.synthetic import make_euro_like, make_gn_like
+from ..core.result import WhyNotAnswer
+from ..errors import ReproError
 from ..index.search import TopKSearcher
 from ..model.query import SpatialKeywordQuery
+from .config import Scale
+from .figures import FIGURES as PAPER_FIGURES
+from .figures import (
+    Figure,
+    Point,
+    Protocol,
+    cases_for,
+    dataset_for,
+    engine_for,
+    plan,
+    prepare,
+    sweep,
+)
+from .runner import MethodSpec, Record, Runner
 from .workload import WorkloadCase, WorkloadGenerator
 
 __all__ = [
+    "BENCH",
     "BENCH_SEED",
     "DEFAULT_ROUNDS",
     "FIGURES",
-    "EmitterHarness",
-    "emit_figure",
-    "emitter_main",
+    "SWEEPS",
+    "PenaltyMismatchError",
+    "bench_case",
     "compare",
+    "emit_figure",
+    "leaf_scoring_unit",
+    "sharded_whynot_unit",
+    "skip_entry",
+    "sweep_units",
+    "whynot_unit",
 ]
 
 BENCH_SEED = 2016
 DEFAULT_ROUNDS = 3
-#: Figure emitters skip BS above this candidate-space size (the skip is
-#: recorded in the payload's ``skipped`` list — never silent).
-EMITTER_BS_CAP = 512
-#: Dataset size for the substrate micro-units (matches the historical
-#: ``benchmarks/bench_substrate.py`` standalone emitter).
+#: Dataset size for the substrate micro-units (the pytest-benchmark
+#: ``benchmarks/bench_substrate.py`` uses the same dataset).
 SUBSTRATE_SIZE = 2000
 
 _CALIBRATION_LOOPS = 200_000
@@ -121,71 +151,107 @@ def _case_seed(key: tuple) -> int:
     return BENCH_SEED + zlib.crc32(repr(key).encode("utf-8")) % 10_000
 
 
-class EmitterHarness:
-    """Engine and workload cache shared across one emit batch."""
+def _seed_of(tag: str, kind: str, size: int, params: Mapping[str, Any]) -> int:
+    return _case_seed((tag, kind, size, tuple(sorted(params.items()))))
 
-    def __init__(self) -> None:
-        self._engines: Dict[Tuple[str, int], WhyNotEngine] = {}
-        self._cases: Dict[tuple, WorkloadCase] = {}
 
-    def engine(self, kind: str = "euro", size: int = 1500) -> WhyNotEngine:
-        key = (kind, size)
-        if key not in self._engines:
-            maker = make_euro_like if kind == "euro" else make_gn_like
-            dataset, _ = maker(size, seed=BENCH_SEED)
-            engine = WhyNotEngine(dataset)
-            _ = engine.setr_tree  # build both indexes outside timed regions
-            _ = engine.kcr_tree
-            self._engines[key] = engine
-        return self._engines[key]
+#: The BENCH protocol: fixed datasets (1,500 EURO-like objects, GN-like
+#: at 1k–8k, all seeded with ``BENCH_SEED``) and one case per point.
+#: Figure emitters skip BS above a candidate space of 512 (the skip is
+#: recorded in the payload's ``skipped`` list — never silent).
+BENCH = Protocol(
+    Scale(
+        name="bench",
+        euro_size=1500,
+        gn_sizes=(1_000, 2_000, 4_000, 8_000),
+        n_queries=1,
+        max_extra_keywords=4,
+        bs_candidate_cap=512,
+    ),
+    {"euro": BENCH_SEED, "gn": BENCH_SEED},
+    lambda figure, point: _seed_of(
+        figure.case_tag.format(name=figure.name, x=point.x),
+        point.kind,
+        point.size,
+        point.params,
+    ),
+)
 
-    def case(
-        self,
-        tag: str,
-        *,
-        kind: str = "euro",
-        size: int = 1500,
-        **params: Any,
-    ) -> WorkloadCase:
-        key = (tag, kind, size, tuple(sorted(params.items())))
-        if key not in self._cases:
-            engine = self.engine(kind, size)
-            generator = WorkloadGenerator(engine.dataset, seed=_case_seed(key))
-            params.setdefault("max_extra_keywords", 4)
-            self._cases[key] = generator.generate(1, **params)[0]
-        return self._cases[key]
+#: The paper figures as BENCH runs them: each declaration with its
+#: ``bench`` departures applied, keyed by BENCH name (``fig04``…).
+SWEEPS: Dict[str, Figure] = {
+    f"fig{int(figure.name[3:]):02d}": dataclasses.replace(figure, **figure.bench)
+    for figure in PAPER_FIGURES.values()
+}
+
+
+class PenaltyMismatchError(ReproError):
+    """Exact methods returned different penalties at one BENCH point."""
+
+
+def bench_case(
+    tag: str, *, kind: str = "euro", size: int = 1500, **params: Any
+) -> WorkloadCase:
+    """One seeded BENCH case over a cached dataset."""
+    seed = _seed_of(tag, kind, size, params)
+    params = {"max_extra_keywords": BENCH.scale.max_extra_keywords, **params}
+    return cases_for(kind, size, BENCH_SEED, seed, 1, params)[0]
+
+
+def sweep_units() -> Iterator[Tuple[str, str, Figure, Point, MethodSpec]]:
+    """Every why-not unit of the figure sweeps, as ``(figure, unit,
+    declaration, point, spec)`` — planned, nothing built or run."""
+    for name, figure in SWEEPS.items():
+        for point in plan(figure, BENCH.scale):
+            for spec in point.specs:
+                unit = point.unit.format(x=point.x, key=spec.unit_key)
+                yield name, unit, figure, point, spec
+
+
+def skip_entry(unit: str, case: WorkloadCase) -> str:
+    """The ``skipped`` entry of a unit the BS cap left out."""
+    return (
+        f"{unit}: candidate space {case.candidate_space} "
+        f"> emitter BS cap {BENCH.scale.bs_candidate_cap}"
+    )
 
 
 # ----------------------------------------------------------------------
 # units
 # ----------------------------------------------------------------------
 
+def _answer_fields(answer: WhyNotAnswer) -> Dict[str, Any]:
+    return {
+        "io": dataclasses.asdict(answer.io),
+        "penalty": round(answer.refined.penalty, 6),
+        "initial_rank": answer.initial_rank,
+    }
+
+
+def _record_unit(record: Record) -> Dict[str, Any]:
+    """A why-not unit: wall-time latency over the record's rounds plus
+    the last answer's I/O, penalty and initial rank."""
+    if record.answer is None:
+        raise ValueError("a skipped record has no unit")
+    unit = _latency_stats(record.wall)
+    unit.update(_answer_fields(record.answer))
+    return unit
+
+
 def whynot_unit(
-    harness: EmitterHarness,
+    engine: WhyNotEngine,
     case: WorkloadCase,
     method: str,
     *,
-    kind: str = "euro",
-    size: int = 1500,
     rounds: int = DEFAULT_ROUNDS,
     **options: Any,
 ) -> Dict[str, Any]:
     """One cold-buffer why-not query, timed over ``rounds``."""
-    engine = harness.engine(kind, size)
-    durations, answer = _measure(
-        lambda: engine.answer(case.question, method=method, **options),
-        rounds,
-        setup=engine.reset_buffers,
-    )
-    record = _latency_stats(durations)
-    record["io"] = dataclasses.asdict(answer.io)
-    record["penalty"] = round(answer.refined.penalty, 6)
-    record["initial_rank"] = answer.initial_rank
-    return record
+    runner = Runner(engine, rounds=rounds)
+    return _record_unit(runner.run_case(case, MethodSpec(method, method, options)))
 
 
 def sharded_whynot_unit(
-    harness: EmitterHarness,
     case: WorkloadCase,
     *,
     kind: str = "gn",
@@ -210,24 +276,21 @@ def sharded_whynot_unit(
     agree on a serial host by construction.  ``reference`` (the
     matching unsharded unit) stamps a ``parity_with_unsharded`` flag —
     sharded execution is bit-identical by contract, so ``False`` here
-    is a correctness bug, not noise.
+    is a correctness bug, not noise.  Without ``engine`` the shards
+    split the cached BENCH dataset of ``kind``/``size``.
     """
     owned = engine is None
     if engine is None:
-        base = harness.engine(kind, size)
-        engine = WhyNotEngine(base.dataset, shards=shards, shard_mode=mode)
+        dataset = dataset_for(kind, size, BENCH_SEED)
+        engine = WhyNotEngine(dataset, shards=shards, shard_mode=mode)
     try:
         engine.answer(case.question, method=method)  # build outside timing
-        durations = []
-        answer = None
+        answers = []
         for _ in range(rounds):
             engine.reset_buffers()
-            answer = engine.answer(case.question, method=method)
-            durations.append(answer.elapsed_seconds)
-        record = _latency_stats(durations)
-        record["io"] = dataclasses.asdict(answer.io)
-        record["penalty"] = round(answer.refined.penalty, 6)
-        record["initial_rank"] = answer.initial_rank
+            answers.append(engine.answer(case.question, method=method))
+        record = _latency_stats([answer.elapsed_seconds for answer in answers])
+        record.update(_answer_fields(answers[-1]))
         record["shards"] = shards
         record["shard_mode"] = mode
         if reference is not None:
@@ -241,13 +304,7 @@ def sharded_whynot_unit(
             engine.close()
 
 
-def leaf_scoring_unit(
-    harness: EmitterHarness,
-    *,
-    kind: str = "euro",
-    size: int = 1500,
-    rounds: int = 5,
-) -> Dict[str, Any]:
+def leaf_scoring_unit(engine: WhyNotEngine, *, rounds: int = 5) -> Dict[str, Any]:
     """Scalar versus vectorized leaf-scoring throughput.
 
     Measures the scoring *computation* in isolation — documents fetched
@@ -256,7 +313,6 @@ def leaf_scoring_unit(
     not in page-read counters.  Asserts bit-identical scores before
     timing (the parity contract of :mod:`repro.core.vectorized`).
     """
-    engine = harness.engine(kind, size)
     tree = engine.setr_tree
     searcher = TopKSearcher(tree)
     obj = engine.dataset.objects[17]
@@ -322,6 +378,7 @@ def leaf_scoring_unit(
     }
 
 
+
 # ----------------------------------------------------------------------
 # figure builders
 # ----------------------------------------------------------------------
@@ -329,170 +386,84 @@ def leaf_scoring_unit(
 _Units = Dict[str, Dict[str, Any]]
 _BuildResult = Tuple[_Units, Dict[str, Any], List[str]]
 
-_METHODS = ("basic", "advanced", "kcr")
 
+def _build_sweep(figure: Figure, rounds: int, full: bool = False) -> _BuildResult:
+    """A paper figure's units from the one run loop, plus one leaf-scoring
+    unit per dataset the sweep touched.  ``full`` only matters to Fig 13.
 
-def _axis_figure(
-    tag: str,
-    axis: str,
-    values: Sequence[Any],
-    params_of: Callable[[Any], Dict[str, Any]],
-    methods: Sequence[str] = _METHODS,
-) -> Callable[[EmitterHarness, int], _BuildResult]:
-    def build(harness: EmitterHarness, rounds: int) -> _BuildResult:
-        units: _Units = {}
-        skipped: List[str] = []
-        for value in values:
-            case = harness.case(tag, **params_of(value))
-            for method in methods:
-                name = f"{axis}={value}:{method}"
-                if (
-                    method == "basic"
-                    and case.candidate_space > EMITTER_BS_CAP
-                ):
-                    skipped.append(
-                        f"{name}: candidate space {case.candidate_space} "
-                        f"> emitter BS cap {EMITTER_BS_CAP}"
-                    )
-                    continue
-                units[name] = whynot_unit(harness, case, method, rounds=rounds)
-        units["leaf_scoring"] = leaf_scoring_unit(harness)
-        return units, {"kind": "euro-like", "size": 1500}, skipped
-
-    return build
-
-
-def _build_fig10(harness: EmitterHarness, rounds: int) -> _BuildResult:
-    units: _Units = {}
-    case = harness.case("fig10", k0=10, n_keywords=4, alpha=0.5, lam=0.5)
-    for method in ("parallel-advanced", "parallel-kcr"):
-        for n_threads in (1, 2, 4, 8):
-            units[f"threads={n_threads}:{method}"] = whynot_unit(
-                harness, case, method, rounds=rounds, n_threads=n_threads
-            )
-    units["leaf_scoring"] = leaf_scoring_unit(harness)
-    return units, {"kind": "euro-like", "size": 1500}, []
-
-
-def _build_fig11(harness: EmitterHarness, rounds: int) -> _BuildResult:
-    configs = {
-        "BS": {"early_stop": False, "ordering": False, "filtering": False},
-        "BS+Opt1": {"early_stop": True, "ordering": False, "filtering": False},
-        "BS+Opt2": {"early_stop": False, "ordering": True, "filtering": False},
-        "BS+Opt3": {"early_stop": False, "ordering": False, "filtering": True},
-        "AdvancedBS": {"early_stop": True, "ordering": True, "filtering": True},
-    }
-    units: _Units = {}
-    case = harness.case("fig11", k0=10, n_keywords=4, alpha=0.5, lam=0.5)
-    for label in sorted(configs):
-        units[f"config={label}"] = whynot_unit(
-            harness, case, "advanced", rounds=rounds, **configs[label]
-        )
-    units["leaf_scoring"] = leaf_scoring_unit(harness)
-    return units, {"kind": "euro-like", "size": 1500}, []
-
-
-def _build_fig12(harness: EmitterHarness, rounds: int) -> _BuildResult:
-    units: _Units = {}
-    case = harness.case(
-        "fig12", k0=10, n_keywords=8, alpha=0.5, lam=0.5, max_extra_keywords=4
-    )
-    for strategy in ("bs", "advanced", "kcr"):
-        for sample_size in (25, 50, 100, 200):
-            units[f"T={sample_size}:{strategy}"] = whynot_unit(
-                harness,
-                case,
-                "approximate",
-                rounds=rounds,
-                sample_size=sample_size,
-                strategy=strategy,
-            )
-    for method in ("advanced", "kcr"):
-        units[f"exact:{method}"] = whynot_unit(
-            harness, case, method, rounds=rounds
-        )
-    units["leaf_scoring"] = leaf_scoring_unit(harness)
-    return units, {"kind": "euro-like", "size": 1500}, []
-
-
-def _build_fig13(harness: EmitterHarness, rounds: int) -> _BuildResult:
-    sizes = (1_000, 2_000, 4_000, 8_000)
+    Raises :class:`PenaltyMismatchError` if the exact methods disagree
+    on the penalty at any point.
+    """
     units: _Units = {}
     skipped: List[str] = []
-    for size in sizes:
-        case = harness.case(
-            f"fig13-{size}",
-            kind="gn",
-            size=size,
-            k0=10,
-            n_keywords=3,
-            alpha=0.5,
-            lam=0.5,
-            max_extra_keywords=3,
+    mismatched: List[str] = []
+    leaves: Dict[str, Point] = {}
+    sized = figure.kind == "gn"  # Fig 13 sweeps the dataset itself
+    for point, result in sweep(figure, BENCH, rounds=rounds):
+        if result.mismatches:
+            mismatched.append(f"{figure.x_label}={point.x}")
+        for record in result.records:
+            name = point.unit.format(x=point.x, key=record.spec.unit_key)
+            if record.answer is None:
+                skipped.append(skip_entry(name, record.case))
+            else:
+                units[name] = _record_unit(record)
+        leaf = "leaf_scoring"
+        leaves[point.unit.format(x=point.x, key=leaf) if sized else leaf] = point
+    if mismatched:
+        raise PenaltyMismatchError(
+            f"{figure.name}: exact methods disagree on the penalty at "
+            + ", ".join(mismatched)
         )
-        for method in _METHODS:
-            name = f"n={size}:{method}"
-            if method == "basic" and case.candidate_space > EMITTER_BS_CAP:
-                skipped.append(
-                    f"{name}: candidate space {case.candidate_space} "
-                    f"> emitter BS cap {EMITTER_BS_CAP}"
-                )
-                continue
-            units[name] = whynot_unit(
-                harness, case, method, kind="gn", size=size, rounds=rounds
-            )
-        units[f"n={size}:leaf_scoring"] = leaf_scoring_unit(
-            harness, kind="gn", size=size
-        )
-
-    # Sharded series: the same workload at the largest default size,
-    # fanned out over 2/4/8 spatial shards in simulate mode.  Answers
-    # are bit-identical to the unsharded engine by contract, so each
-    # unit carries a parity flag against the unsharded unit above.
-    shard_size = sizes[-1]
-    shard_case = harness.case(
-        f"fig13-{shard_size}",
-        kind="gn",
-        size=shard_size,
-        k0=10,
-        n_keywords=3,
-        alpha=0.5,
-        lam=0.5,
-        max_extra_keywords=3,
-    )
-    reference = units.get(f"n={shard_size}:advanced")
-    for n_shards in (2, 4, 8):
-        units[f"n={shard_size}:shards={n_shards}:advanced"] = (
-            sharded_whynot_unit(
-                harness,
-                shard_case,
-                kind="gn",
-                size=shard_size,
-                shards=n_shards,
-                mode="simulate",
-                rounds=rounds,
-                reference=reference,
-            )
-        )
-
-    meta: Dict[str, Any] = {"kind": "gn-like", "sizes": list(sizes)}
-    if os.environ.get("REPRO_BENCH_FULL") == "1":
-        units.update(_fig13_full_units(rounds))
-        meta["full_size"] = FULL_SWEEP_SIZE
+    for name, point in leaves.items():
+        _, engine = engine_for(point.kind, point.size, BENCH_SEED)
+        units[name] = leaf_scoring_unit(engine)
+    meta: Dict[str, Any] = {"kind": f"{figure.kind}-like"}
+    if sized:
+        meta["sizes"] = list(BENCH.scale.gn_sizes)
     else:
-        for name in FULL_SWEEP_UNITS:
-            skipped.append(
-                f"{name}: requires REPRO_BENCH_FULL=1 (streaming "
-                f"{FULL_SWEEP_SIZE:,}-object build; run "
-                f"`repro-whynot bench --figures fig13 --full`)"
-            )
+        meta["size"] = BENCH.scale.euro_size
     return units, meta, skipped
 
 
-#: Full-sweep knobs for the ``REPRO_BENCH_FULL=1`` / ``bench --full``
-#: leg: a streaming STR bulk load at a million objects, then the
-#: advanced method unsharded versus fanned out over eight shards with
-#: real worker processes.
+def _build_fig13(rounds: int, full: bool) -> _BuildResult:
+    """Fig 13's sweep plus the sharded series and the ``full`` leg."""
+    figure = SWEEPS["fig13"]
+    units, meta, skipped = _build_sweep(figure, rounds)
+
+    # Sharded series: the same workload at the largest size, fanned out
+    # over 2/4/8 spatial shards in simulate mode.  Answers are
+    # bit-identical to the unsharded engine by contract, so each unit
+    # carries a parity flag against the unsharded unit above.
+    point = list(plan(figure, BENCH.scale))[-1]
+    _, cases = prepare(figure, BENCH, point)
+    reference = units.get(point.unit.format(x=point.x, key="advanced"))
+    for n_shards in (2, 4, 8):
+        units[f"n={point.size}:shards={n_shards}:advanced"] = sharded_whynot_unit(
+            cases[0],
+            kind=point.kind,
+            size=point.size,
+            shards=n_shards,
+            mode="simulate",
+            rounds=rounds,
+            reference=reference,
+        )
+
+    if full:
+        units.update(_fig13_full_units(rounds))
+        meta["full_size"] = FULL_SWEEP_SIZE
+    else:
+        skipped.extend(
+            f"{name}: requires `repro-whynot bench --figures fig13 --full` "
+            f"(streaming {FULL_SWEEP_SIZE:,}-object build)"
+            for name in FULL_SWEEP_UNITS
+        )
+    return units, meta, skipped
+
+
+#: Full-sweep knobs for the ``bench --full`` leg: a streaming STR bulk
+#: load at a million objects, then the advanced method unsharded versus
+#: fanned out over eight shards with real worker processes.
 FULL_SWEEP_SIZE = 1_000_000
 FULL_SWEEP_SHARDS = 8
 FULL_SWEEP_UNITS = (
@@ -538,15 +509,7 @@ def _fig13_full_units(rounds: int) -> _Units:
     rounds = max(rounds, 5)
     unsharded = WhyNotEngine(dataset)
     _ = unsharded.setr_tree  # build the index outside timed regions
-    durations, answer = _measure(
-        lambda: unsharded.answer(case.question, method="advanced"),
-        rounds,
-        setup=unsharded.reset_buffers,
-    )
-    record = _latency_stats(durations)
-    record["io"] = dataclasses.asdict(answer.io)
-    record["penalty"] = round(answer.refined.penalty, 6)
-    record["initial_rank"] = answer.initial_rank
+    record = whynot_unit(unsharded, case, "advanced", rounds=rounds)
     units[FULL_SWEEP_UNITS[0]] = record
 
     engine = WhyNotEngine(
@@ -554,7 +517,6 @@ def _fig13_full_units(rounds: int) -> _Units:
     )
     engine.attach_sharded_index(index)
     sharded = sharded_whynot_unit(
-        EmitterHarness(),  # unused: engine is supplied
         case,
         shards=FULL_SWEEP_SHARDS,
         mode="process",
@@ -571,7 +533,7 @@ def _fig13_full_units(rounds: int) -> _Units:
     return units
 
 
-def _build_substrate(harness: EmitterHarness, rounds: int) -> _BuildResult:
+def _build_substrate(rounds: int, full: bool) -> _BuildResult:
     """Substrate micro-units plus the analyzer's own runtime.
 
     Not a paper figure: these track the building blocks whose costs the
@@ -590,7 +552,7 @@ def _build_substrate(harness: EmitterHarness, rounds: int) -> _BuildResult:
     from ..index.setr_tree import SetRTree
 
     units: _Units = {}
-    dataset, _ = make_euro_like(SUBSTRATE_SIZE, seed=BENCH_SEED)
+    dataset = dataset_for("euro", SUBSTRATE_SIZE, BENCH_SEED)
 
     durations, setr = _measure(
         lambda: SetRTree(dataset, capacity=100), rounds
@@ -663,7 +625,7 @@ def _build_substrate(harness: EmitterHarness, rounds: int) -> _BuildResult:
     return units, meta, []
 
 
-def _build_serve(harness: EmitterHarness, rounds: int) -> _BuildResult:
+def _build_serve(rounds: int, full: bool) -> _BuildResult:
     """Serving-layer load figure (the ``serve-bench`` verb's payload).
 
     Three units, all per the makespan-discount convention — service
@@ -684,13 +646,10 @@ def _build_serve(harness: EmitterHarness, rounds: int) -> _BuildResult:
     from ..serve.bench import run_dialogue, run_serve_bench
 
     units: _Units = {}
-    engine = harness.engine("euro", 1500)
-    generator = WorkloadGenerator(
-        engine.dataset, seed=_case_seed(("serve", "euro", 1500))
-    )
-    cases = generator.generate(
-        3, k0=5, n_keywords=3, max_extra_keywords=4
-    )
+    _, engine = engine_for("euro", 1500, BENCH_SEED)
+    params = dict(k0=5, n_keywords=3, max_extra_keywords=4)
+    seed = _case_seed(("serve", "euro", 1500))
+    cases = cases_for("euro", 1500, BENCH_SEED, seed, 3, params)
 
     def sim_stats(report: Dict[str, Any]) -> Dict[str, Any]:
         record = _latency_stats(
@@ -739,56 +698,12 @@ def _build_serve(harness: EmitterHarness, rounds: int) -> _BuildResult:
     return units, meta, []
 
 
-FIGURES: Dict[str, Callable[[EmitterHarness, int], _BuildResult]] = {
+#: Every BENCH emitter by name: the substrate and serving figures, then
+#: the paper figures (Fig 13 adds its sharded series and ``full`` leg).
+FIGURES: Dict[str, Callable[[int, bool], _BuildResult]] = {
     "substrate": _build_substrate,
     "serve": _build_serve,
-    "fig04": _axis_figure(
-        "fig4",
-        "k0",
-        (3, 10, 30, 100),
-        lambda k0: dict(k0=k0, n_keywords=4, alpha=0.5, lam=0.5),
-    ),
-    "fig05": _axis_figure(
-        "fig5",
-        "keywords",
-        (2, 4, 6, 8),
-        lambda n: dict(k0=10, n_keywords=n, alpha=0.5, lam=0.5),
-    ),
-    "fig06": _axis_figure(
-        "fig6",
-        "alpha",
-        (0.1, 0.3, 0.5, 0.7, 0.9),
-        lambda a: dict(k0=10, n_keywords=4, alpha=a, lam=0.5),
-    ),
-    "fig07": _axis_figure(
-        "fig7",
-        "lambda",
-        (0.1, 0.3, 0.5, 0.7, 0.9),
-        lambda lam: dict(k0=10, n_keywords=4, alpha=0.5, lam=lam),
-    ),
-    "fig08": _axis_figure(
-        "fig8",
-        "rank",
-        (31, 51, 101, 151, 201),
-        lambda r: dict(k0=10, n_keywords=4, alpha=0.5, lam=0.5, rank_target=r),
-    ),
-    "fig09": _axis_figure(
-        "fig9",
-        "missing",
-        (1, 2, 3, 4),
-        lambda m: dict(
-            k0=10,
-            n_keywords=4,
-            alpha=0.5,
-            lam=0.5,
-            n_missing=m,
-            missing_rank_range=(11, 51),
-            max_extra_keywords=3,
-        ),
-    ),
-    "fig10": _build_fig10,
-    "fig11": _build_fig11,
-    "fig12": _build_fig12,
+    **{name: functools.partial(_build_sweep, fig) for name, fig in SWEEPS.items()},
     "fig13": _build_fig13,
 }
 
@@ -818,30 +733,30 @@ def emit_figure(
     *,
     rounds: int = DEFAULT_ROUNDS,
     scale: float = 1.0,
-    harness: Optional[EmitterHarness] = None,
     write: bool = True,
+    full: bool = False,
 ) -> Dict[str, Any]:
     """Run one figure's emitter and (optionally) write its JSON.
 
     ``scale != 1.0`` inflates every recorded latency after measurement —
     the negative control that proves the regression gate trips.  Scaled
     payloads are stamped ``"scaled_by"`` so they can never masquerade as
-    honest baselines.
+    honest baselines.  ``full`` adds Fig 13's million-object units.
+    Raises :class:`PenaltyMismatchError` (nothing written) when exact
+    methods disagree at a figure point.
     """
     builder = FIGURES.get(name)
     if builder is None:
         raise KeyError(
             f"unknown figure {name!r}; expected one of {sorted(FIGURES)}"
         )
-    if harness is None:
-        harness = EmitterHarness()
     # Calibration brackets the unit runs: the host's effective speed
     # drifts over the minutes a figure takes (shared-CPU container),
     # and a single instantaneous sample mis-normalizes every unit
     # measured at a different speed.  The mean of a before and an
     # after sample tracks the speed the units actually saw.
     cal_before = _calibration_ms()
-    units, dataset_meta, skipped = builder(harness, rounds)
+    units, dataset_meta, skipped = builder(rounds, full)
     if scale != 1.0:
         for record in units.values():
             _scale_record(record, scale)
@@ -913,7 +828,7 @@ def compare(
     Units new in the candidate pass.  Units missing from it fail —
     unless the candidate's ``skipped`` list declares the omission (an
     entry prefixed with the unit name), which covers emitter-declared
-    gates like the BS candidate-space cap and the ``REPRO_BENCH_FULL``
+    gates like the BS candidate-space cap and the ``bench --full``
     million-object sweep.
     """
     failures: List[str] = []
@@ -967,18 +882,3 @@ def compare(
                 f"gate +{tolerance:.0%}"
             )
     return failures
-
-
-def emitter_main(name: str, argv: Optional[Sequence[str]] = None) -> str:
-    """Standalone entry shared by the ``bench_fig*.py`` scripts.
-
-    Emits the figure's JSON and returns the one-line summary for the
-    script to print (library code never prints).
-    """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    out = argv[0] if argv else f"BENCH_{name}.json"
-    payload = emit_figure(name, out)
-    return (
-        f"wrote {out}: {len(payload['units'])} unit(s), seed {BENCH_SEED}, "
-        f"{len(payload['skipped'])} skipped"
-    )

@@ -1,53 +1,70 @@
-"""One function per figure of the paper's evaluation (Section VII-B).
+"""The paper's evaluation (Section VII-B), declared once per figure.
 
-Each ``figN`` function builds the workloads the paper describes for
-that figure, runs the relevant algorithms at the requested
-:class:`~repro.experiments.config.Scale`, and returns a
-:class:`FigureResult` of rows ready for
-:mod:`repro.experiments.reporting`.
+Every figure is one :class:`Figure` entry in :data:`FIGURES`: its
+x-values, the workload parameters at each point and the method specs
+it runs.  Three consumers instantiate the same declarations through a
+:class:`Protocol` (scale, dataset seeds, case seeding) and one run
+loop, :func:`sweep` over :class:`~repro.experiments.runner.Runner`:
 
-Shared datasets and engines are cached per (kind, size) for the
-duration of the process — the paper likewise builds each index once
-and reuses it across the 1,000 queries of every data point.
+* ``repro-whynot experiment`` averages the records into the
+  :class:`FigureResult` tables of EXPERIMENTS.md (:func:`run_figure`);
+* ``repro-whynot bench`` turns them into ``BENCH_fig*.json`` units
+  (:mod:`repro.experiments.benchflows`);
+* ``benchmarks/bench_figures.py`` times the same units one by one
+  under pytest-benchmark.
+
+Where BENCH departs from the tables (a smaller T grid, a capped
+keyword universe, fig11's BS row) the departure is data in the
+figure's ``bench`` field, applied once by the BENCH registry.
+
+Datasets, engines and workload cases live in one process-wide cache —
+the paper likewise builds each index once and reuses it across the
+1,000 queries of every data point.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.engine import WhyNotEngine
 from ..data.synthetic import make_euro_like, make_gn_like
 from ..model.objects import Dataset
 from .config import PARAMETER_GRID, SCALES, Defaults, Scale
 from .runner import MethodSpec, PointResult, Runner
-from .workload import WorkloadGenerator
+from .workload import WorkloadCase, WorkloadGenerator
 
 __all__ = [
+    "Figure",
     "FigureResult",
     "FIGURES",
+    "Point",
+    "Protocol",
+    "clear_cache",
+    "dataset_for",
+    "engine_for",
+    "cases_for",
+    "plan",
+    "prepare",
+    "sweep",
+    "table_protocol",
     "run_figure",
     "table2_dataset_info",
-    "fig4_vary_k0",
-    "fig5_vary_keywords",
-    "fig6_vary_alpha",
-    "fig7_vary_lambda",
-    "fig8_vary_rank",
-    "fig9_vary_missing",
-    "fig10_vary_threads",
-    "fig11_optimizations",
-    "fig12_approximate",
-    "fig13_scalability",
 ]
 
 DEFAULTS = Defaults()
-
-_THREE_METHODS = (
-    MethodSpec("BS", "basic"),
-    MethodSpec("AdvancedBS", "advanced"),
-    MethodSpec("KcRBased", "kcr"),
-)
 
 
 @dataclass
@@ -69,34 +86,56 @@ class FigureResult:
 
 
 # ----------------------------------------------------------------------
-# dataset / engine cache
+# the one dataset / engine / case cache
 # ----------------------------------------------------------------------
-_CACHE: Dict[Tuple[str, int], Tuple[Dataset, WhyNotEngine]] = {}
+_DATASETS: Dict[Tuple[str, int, int], Dataset] = {}
+_ENGINES: Dict[Tuple[str, int, int], WhyNotEngine] = {}
+_CASES: Dict[tuple, List[WorkloadCase]] = {}
 
 
-def _engine_for(kind: str, size: int, seed: int) -> Tuple[Dataset, WhyNotEngine]:
-    key = (kind, size)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-    if kind == "euro":
-        dataset, _ = make_euro_like(size, seed=seed)
-    elif kind == "gn":
-        dataset, _ = make_gn_like(size, seed=seed)
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
-    engine = WhyNotEngine(dataset)
-    _CACHE[key] = (dataset, engine)
-    return dataset, engine
+def dataset_for(kind: str, size: int, seed: int) -> Dataset:
+    key = (kind, size, seed)
+    if key not in _DATASETS:
+        makers = {"euro": make_euro_like, "gn": make_gn_like}
+        if kind not in makers:
+            raise ValueError(f"unknown dataset kind {kind!r}")
+        _DATASETS[key] = makers[kind](size, seed=seed)[0]
+    return _DATASETS[key]
+
+
+def engine_for(kind: str, size: int, seed: int) -> Tuple[Dataset, WhyNotEngine]:
+    """The cached engine over ``dataset_for(kind, size, seed)``, with
+    both indexes built up front (outside every timed region)."""
+    key = (kind, size, seed)
+    if key not in _ENGINES:
+        engine = WhyNotEngine(dataset_for(kind, size, seed))
+        _ = engine.setr_tree, engine.kcr_tree
+        _ENGINES[key] = engine
+    return _ENGINES[key].dataset, _ENGINES[key]
+
+
+def cases_for(
+    kind: str,
+    size: int,
+    seed: int,
+    case_seed: int,
+    n_cases: int,
+    params: Mapping[str, Any],
+) -> List[WorkloadCase]:
+    """``n_cases`` workload cases over a cached dataset, memoised."""
+    key = (kind, size, seed, case_seed, n_cases, tuple(sorted(params.items())))
+    if key not in _CASES:
+        dataset = dataset_for(kind, size, seed)
+        generator = WorkloadGenerator(dataset, seed=case_seed)
+        _CASES[key] = generator.generate(n_cases, **params)
+    return _CASES[key]
 
 
 def clear_cache() -> None:
-    """Drop cached datasets/engines (tests use this to bound memory)."""
-    _CACHE.clear()
-
-
-def _runner(scale: Scale, engine: WhyNotEngine) -> Runner:
-    return Runner(engine, bs_candidate_cap=scale.bs_candidate_cap)
+    """Drop cached datasets/engines/cases (tests use this to bound memory)."""
+    _DATASETS.clear()
+    _ENGINES.clear()
+    _CASES.clear()
 
 
 def _point_seed(figure: str, value: object) -> int:
@@ -111,332 +150,281 @@ def _point_seed(figure: str, value: object) -> int:
 
 
 # ----------------------------------------------------------------------
-# figures
+# declarations
 # ----------------------------------------------------------------------
-def fig4_vary_k0(scale: Scale) -> FigureResult:
-    """Fig 4: vary ``k₀``; the missing object tracks rank ``5·k₀ + 1``."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for k0 in PARAMETER_GRID["k0"]:
-        if 5 * k0 + 1 >= len(dataset):
-            continue  # the smoke dataset cannot host rank 501
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig4", k0))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(runner.run_point("k0", k0, cases, _THREE_METHODS))
-    return FigureResult(
-        figure="fig4",
-        title="Varying k0 (missing object at rank 5*k0+1)",
-        x_label="k0",
-        points=points,
-    )
+_THREE_METHODS = (
+    MethodSpec("BS", "basic"),
+    MethodSpec("AdvancedBS", "advanced"),
+    MethodSpec("KcRBased", "kcr"),
+)
 
 
-def fig5_vary_keywords(scale: Scale) -> FigureResult:
-    """Fig 5: vary the number of initial query keywords."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for n_keywords in PARAMETER_GRID["n_keywords"]:
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig5", n_keywords))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(
-            runner.run_point("n_keywords", n_keywords, cases, _THREE_METHODS)
-        )
-    return FigureResult(
-        figure="fig5",
-        title="Varying the number of initial query keywords",
-        x_label="n_keywords",
-        points=points,
-    )
+@dataclass(frozen=True)
+class Figure:
+    """One paper figure: a sweep of workload points times method specs.
+
+    ``unit`` formats a BENCH unit name from the x-value and a spec's
+    :attr:`~repro.experiments.runner.MethodSpec.unit_key`.  A ``gn``
+    figure sweeps the scale's GN-like cardinalities (Fig 13); every
+    other figure runs on the scale's EURO-like dataset.
+    """
+
+    name: str
+    title: str
+    x_label: str  # table column
+    unit: str  # BENCH unit-name format over {x} and {key}
+    params: Callable[[Any], Dict[str, Any]]  # workload at x
+    values: Sequence[Any] = ()
+    specs: Callable[[Any], Sequence[MethodSpec]] = lambda _x: _THREE_METHODS
+    kind: str = "euro"
+    shared_cases: bool = False  # one case set for every point
+    reference: Tuple[MethodSpec, ...] = ()  # extra "exact" point (Fig 12)
+    max_extra_keywords: Optional[int] = None  # else the scale's cap
+    case_tag: str = "{name}"  # BENCH case-seed tag over {name} and {x}
+    notes: str = ""
+    bench: Mapping[str, Any] = field(default_factory=dict)
 
 
-def fig6_vary_alpha(scale: Scale) -> FigureResult:
-    """Fig 6: vary the spatial/textual preference α."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for alpha in PARAMETER_GRID["alpha"]:
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig6", alpha))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=alpha,
-            lam=DEFAULTS.lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(runner.run_point("alpha", alpha, cases, _THREE_METHODS))
-    return FigureResult(
-        figure="fig6",
-        title="Varying alpha",
-        x_label="alpha",
-        points=points,
-    )
-
-
-def fig7_vary_lambda(scale: Scale) -> FigureResult:
-    """Fig 7: vary the penalty preference λ."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for lam in PARAMETER_GRID["lam"]:
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig7", lam))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(runner.run_point("lambda", lam, cases, _THREE_METHODS))
-    return FigureResult(
-        figure="fig7",
-        title="Varying lambda",
-        x_label="lambda",
-        points=points,
-    )
-
-
-def fig8_vary_rank(scale: Scale) -> FigureResult:
-    """Fig 8: vary the missing object's initial rank (top-10 query)."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for rank in PARAMETER_GRID["rank_target"]:
-        if rank >= len(dataset):
-            continue
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig8", rank))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            rank_target=rank,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(runner.run_point("R(m,q)", rank, cases, _THREE_METHODS))
-    return FigureResult(
-        figure="fig8",
-        title="Varying the missing object's initial ranking",
-        x_label="R(m,q)",
-        points=points,
-    )
-
-
-def fig9_vary_missing(scale: Scale) -> FigureResult:
-    """Fig 9: vary the number of missing objects (ranks 11–51)."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for n_missing in PARAMETER_GRID["n_missing"]:
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig9", n_missing))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            n_missing=n_missing,
-            missing_rank_range=(DEFAULTS.k0 + 1, 5 * DEFAULTS.k0 + 1),
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(
-            runner.run_point("n_missing", n_missing, cases, _THREE_METHODS)
-        )
-    return FigureResult(
-        figure="fig9",
-        title="Varying the number of missing objects",
-        x_label="n_missing",
-        points=points,
-    )
-
-
-def fig10_vary_threads(scale: Scale) -> FigureResult:
-    """Fig 10: parallel speedup (simulated makespan; see DESIGN.md)."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    points = []
-    for n_threads in PARAMETER_GRID["n_threads"]:
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig10", 0))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        specs = (
-            MethodSpec(
-                "AdvancedBS", "parallel-advanced", {"n_threads": n_threads}
-            ),
-            MethodSpec("KcRBased", "parallel-kcr", {"n_threads": n_threads}),
-        )
-        points.append(runner.run_point("n_threads", n_threads, cases, specs))
-    return FigureResult(
-        figure="fig10",
-        title="Varying the number of threads (simulated makespan)",
-        x_label="n_threads",
-        points=points,
-        notes="Elapsed time is the list-scheduling makespan over the "
-        "measured per-candidate costs (CPython threads cannot show "
-        "CPU-bound speedup); see DESIGN.md substitutions.",
-    )
-
-
-def fig11_optimizations(scale: Scale) -> FigureResult:
-    """Fig 11: ablation of the three AdvancedBS optimizations."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    specs = (
-        MethodSpec("BS", "basic"),
-        MethodSpec(
-            "BS+Opt1",
-            "advanced",
-            {"early_stop": True, "ordering": False, "filtering": False},
-        ),
-        MethodSpec(
-            "BS+Opt2",
-            "advanced",
-            {"early_stop": False, "ordering": True, "filtering": False},
-        ),
-        MethodSpec(
-            "BS+Opt3",
-            "advanced",
-            {"early_stop": False, "ordering": False, "filtering": True},
-        ),
-        MethodSpec("AdvancedBS", "advanced"),
-    )
-    generator = WorkloadGenerator(dataset, seed=_point_seed("fig11", 0))
-    cases = generator.generate(
-        scale.n_queries,
+def _params(**overrides: Any) -> Dict[str, Any]:
+    """Table III's bold column with some parameters swept."""
+    params: Dict[str, Any] = dict(
         k0=DEFAULTS.k0,
         n_keywords=DEFAULTS.n_keywords,
         alpha=DEFAULTS.alpha,
         lam=DEFAULTS.lam,
-        max_extra_keywords=scale.max_extra_keywords,
     )
-    points = [runner.run_point("config", "default", cases, specs)]
-    return FigureResult(
-        figure="fig11",
-        title="Pruning abilities of the optimizations",
-        x_label="config",
-        points=points,
+    params.update(overrides)
+    return params
+
+
+def _advanced(label: str, opt1: bool, opt2: bool, opt3: bool) -> MethodSpec:
+    options = {"early_stop": opt1, "ordering": opt2, "filtering": opt3}
+    return MethodSpec(label, "advanced", options, key=label)
+
+
+_OPTIMIZATIONS = (
+    _advanced("BS+Opt1", True, False, False),
+    _advanced("BS+Opt2", False, True, False),
+    _advanced("BS+Opt3", False, False, True),
+    MethodSpec("AdvancedBS", "advanced", key="AdvancedBS"),
+)
+
+_FIGURE_LIST = (
+    Figure(
+        "fig4",
+        "Varying k0 (missing object at rank 5*k0+1)",
+        "k0",
+        "k0={x}:{key}",
+        lambda k0: _params(k0=k0),
+        PARAMETER_GRID["k0"],
+    ),
+    Figure(
+        "fig5",
+        "Varying the number of initial query keywords",
+        "n_keywords",
+        "keywords={x}:{key}",
+        lambda n: _params(n_keywords=n),
+        PARAMETER_GRID["n_keywords"],
+    ),
+    Figure(
+        "fig6",
+        "Varying alpha",
+        "alpha",
+        "alpha={x}:{key}",
+        lambda alpha: _params(alpha=alpha),
+        PARAMETER_GRID["alpha"],
+    ),
+    Figure(
+        "fig7",
+        "Varying lambda",
+        "lambda",
+        "lambda={x}:{key}",
+        lambda lam: _params(lam=lam),
+        PARAMETER_GRID["lam"],
+    ),
+    Figure(
+        "fig8",
+        "Varying the missing object's initial ranking",
+        "R(m,q)",
+        "rank={x}:{key}",
+        lambda rank: _params(rank_target=rank),
+        PARAMETER_GRID["rank_target"],
+    ),
+    Figure(
+        "fig9",
+        "Varying the number of missing objects",
+        "n_missing",
+        "missing={x}:{key}",
+        lambda m: _params(
+            n_missing=m, missing_rank_range=(DEFAULTS.k0 + 1, 5 * DEFAULTS.k0 + 1)
+        ),
+        PARAMETER_GRID["n_missing"],
+        bench={"max_extra_keywords": 3},
+    ),
+    Figure(
+        "fig10",
+        "Varying the number of threads (simulated makespan)",
+        "n_threads",
+        "threads={x}:{key}",
+        lambda _x: _params(),
+        PARAMETER_GRID["n_threads"],
+        specs=lambda n: (
+            MethodSpec("AdvancedBS", "parallel-advanced", {"n_threads": n}),
+            MethodSpec("KcRBased", "parallel-kcr", {"n_threads": n}),
+        ),
+        shared_cases=True,
+        notes="Elapsed time is the list-scheduling makespan over the "
+        "measured per-candidate costs (CPython threads cannot show "
+        "CPU-bound speedup); see DESIGN.md substitutions.",
+    ),
+    Figure(
+        "fig11",
+        "Pruning abilities of the optimizations",
+        "config",
+        "config={key}",
+        lambda _x: _params(),
+        ("default",),
+        specs=lambda _x: (MethodSpec("BS", "basic", key="BS"),) + _OPTIMIZATIONS,
+        shared_cases=True,
+        # BENCH times BS as AdvancedBS with every optimization off.
+        bench={
+            "specs": lambda _x: (_advanced("BS", False, False, False),)
+            + _OPTIMIZATIONS
+        },
+    ),
+    Figure(
+        "fig12",
+        "Approximate algorithm: time and penalty vs sample size",
+        "sample_size",
+        "T={x}:{key}",
+        # Top-10 with 8 keywords: a candidate space large enough that
+        # sampling matters; penalties compare against the exact row.
+        lambda _x: _params(n_keywords=8),
+        PARAMETER_GRID["sample_size"],
+        specs=lambda t: tuple(
+            MethodSpec(
+                f"Approx-{label}",
+                "approximate",
+                {"sample_size": t, "strategy": strategy},
+                key=strategy,
+            )
+            for label, strategy in (
+                ("BS", "bs"),
+                ("AdvancedBS", "advanced"),
+                ("KcRBased", "kcr"),
+            )
+        ),
+        shared_cases=True,
+        reference=_THREE_METHODS[1:],
+        bench={"values": (25, 50, 100, 200), "max_extra_keywords": 4},
+    ),
+    Figure(
+        "fig13",
+        "Varying dataset size (GN-like)",
+        "dataset_size",
+        "n={x}:{key}",
+        lambda _x: _params(),
+        kind="gn",
+        bench={
+            "params": lambda _x: _params(n_keywords=3),
+            "max_extra_keywords": 3,
+            "case_tag": "{name}-{x}",
+        },
+    ),
+)
+
+FIGURES: Dict[str, Figure] = {figure.name: figure for figure in _FIGURE_LIST}
+
+
+# ----------------------------------------------------------------------
+# the one run loop
+# ----------------------------------------------------------------------
+class Point(NamedTuple):
+    """One planned data point of a figure, before any data is built."""
+
+    x: Any
+    kind: str
+    size: int
+    params: Dict[str, Any]
+    specs: Tuple[MethodSpec, ...]
+    unit: str
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """How one consumer instantiates the declared figures."""
+
+    scale: Scale
+    dataset_seeds: Mapping[str, int]
+    #: (figure, point) -> the seed of the point's workload cases
+    case_seed: Callable[[Figure, Point], int]
+
+
+def table_protocol(scale: Scale) -> Protocol:
+    """The EXPERIMENTS.md protocol: ``n_queries`` cases per point."""
+    return Protocol(
+        scale,
+        {"euro": DEFAULTS.seed, "gn": DEFAULTS.seed + 1},
+        lambda figure, point: _point_seed(
+            figure.name, 0 if figure.shared_cases else point.x
+        ),
     )
 
 
-def fig12_approximate(scale: Scale) -> FigureResult:
-    """Fig 12: the approximate algorithm — time and penalty vs T.
+def plan(figure: Figure, scale: Scale) -> Iterator[Point]:
+    """The figure's data points at ``scale``.
 
-    The paper's setup is a top-10 query with 8 keywords (a candidate
-    space large enough that sampling matters); penalties are compared
-    against the exact algorithms.
+    Points whose missing-object rank the dataset cannot host are
+    dropped (Fig 4's ``k₀ = 100`` and Fig 8's deep ranks on tiny data).
     """
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    runner = _runner(scale, engine)
-    generator = WorkloadGenerator(dataset, seed=_point_seed("fig12", 0))
-    cases = generator.generate(
+    last: Optional[Point] = None
+    sized = figure.kind == "gn"
+    for x in scale.gn_sizes if sized else figure.values:
+        size = x if sized else scale.euro_size
+        params = figure.params(x)
+        if figure.max_extra_keywords is not None:
+            params["max_extra_keywords"] = figure.max_extra_keywords
+        if (params.get("rank_target") or 5 * params["k0"] + 1) >= size:
+            continue
+        specs = tuple(figure.specs(x))
+        last = Point(x, figure.kind, size, params, specs, figure.unit)
+        yield last
+    if figure.reference and last is not None:
+        yield last._replace(x="exact", specs=figure.reference, unit="{x}:{key}")
+
+
+def prepare(
+    figure: Figure, protocol: Protocol, point: Point, *, rounds: int = 1
+) -> Tuple[Runner, List[WorkloadCase]]:
+    """The runner and workload cases of one planned point."""
+    scale = protocol.scale
+    seed = protocol.dataset_seeds[point.kind]
+    _, engine = engine_for(point.kind, point.size, seed)
+    params = {"max_extra_keywords": scale.max_extra_keywords, **point.params}
+    cases = cases_for(
+        point.kind,
+        point.size,
+        seed,
+        protocol.case_seed(figure, point),
         scale.n_queries,
-        k0=DEFAULTS.k0,
-        n_keywords=8,
-        alpha=DEFAULTS.alpha,
-        lam=DEFAULTS.lam,
-        max_extra_keywords=scale.max_extra_keywords,
+        params,
     )
-    points = []
-    for sample_size in PARAMETER_GRID["sample_size"]:
-        specs = (
-            MethodSpec(
-                "Approx-BS",
-                "approximate",
-                {"sample_size": sample_size, "strategy": "bs"},
-            ),
-            MethodSpec(
-                "Approx-AdvancedBS",
-                "approximate",
-                {"sample_size": sample_size, "strategy": "advanced"},
-            ),
-            MethodSpec(
-                "Approx-KcRBased",
-                "approximate",
-                {"sample_size": sample_size, "strategy": "kcr"},
-            ),
-        )
-        points.append(runner.run_point("sample_size", sample_size, cases, specs))
-    # One exact reference point (AdvancedBS + KcRBased).
-    exact_specs = (
-        MethodSpec("AdvancedBS", "advanced"),
-        MethodSpec("KcRBased", "kcr"),
+    runner = Runner(
+        engine, bs_candidate_cap=scale.bs_candidate_cap, rounds=rounds
     )
-    points.append(runner.run_point("sample_size", "exact", cases, exact_specs))
-    return FigureResult(
-        figure="fig12",
-        title="Approximate algorithm: time and penalty vs sample size",
-        x_label="sample_size",
-        points=points,
-    )
+    return runner, cases
 
 
-def fig13_scalability(scale: Scale) -> FigureResult:
-    """Fig 13: scalability over GN-like datasets of increasing size."""
-    points = []
-    for size in scale.gn_sizes:
-        dataset, engine = _engine_for("gn", size, DEFAULTS.seed + 1)
-        runner = _runner(scale, engine)
-        generator = WorkloadGenerator(dataset, seed=_point_seed("fig13", size))
-        cases = generator.generate(
-            scale.n_queries,
-            k0=DEFAULTS.k0,
-            n_keywords=DEFAULTS.n_keywords,
-            alpha=DEFAULTS.alpha,
-            lam=DEFAULTS.lam,
-            max_extra_keywords=scale.max_extra_keywords,
-        )
-        points.append(runner.run_point("dataset_size", size, cases, _THREE_METHODS))
-    return FigureResult(
-        figure="fig13",
-        title="Varying dataset size (GN-like)",
-        x_label="dataset_size",
-        points=points,
-    )
-
-
-def table2_dataset_info(scale: Scale) -> List[Dict[str, object]]:
-    """Table II: statistics of the generated substitute datasets."""
-    euro, _ = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
-    gn, _ = _engine_for("gn", scale.gn_sizes[-1], DEFAULTS.seed + 1)
-    return [euro.summary(), gn.summary()]
-
-
-FIGURES: Dict[str, Callable[[Scale], FigureResult]] = {
-    "fig4": fig4_vary_k0,
-    "fig5": fig5_vary_keywords,
-    "fig6": fig6_vary_alpha,
-    "fig7": fig7_vary_lambda,
-    "fig8": fig8_vary_rank,
-    "fig9": fig9_vary_missing,
-    "fig10": fig10_vary_threads,
-    "fig11": fig11_optimizations,
-    "fig12": fig12_approximate,
-    "fig13": fig13_scalability,
-}
+def sweep(
+    figure: Figure, protocol: Protocol, *, rounds: int = 1
+) -> List[Tuple[Point, PointResult]]:
+    """Run every planned point of ``figure`` under ``protocol``."""
+    results = []
+    for point in plan(figure, protocol.scale):
+        runner, cases = prepare(figure, protocol, point, rounds=rounds)
+        result = runner.run_point(figure.x_label, point.x, cases, point.specs)
+        results.append((point, result))
+    return results
 
 
 def run_figure(name: str, scale_name: str = "default") -> FigureResult:
@@ -453,4 +441,14 @@ def run_figure(name: str, scale_name: str = "default") -> FigureResult:
         raise ValueError(
             f"unknown scale {scale_name!r}; expected one of {sorted(SCALES)}"
         ) from None
-    return figure(scale)
+    points = [result for _, result in sweep(figure, table_protocol(scale))]
+    return FigureResult(
+        figure.name, figure.title, figure.x_label, points, figure.notes
+    )
+
+
+def table2_dataset_info(scale: Scale) -> List[Dict[str, object]]:
+    """Table II: statistics of the generated substitute datasets."""
+    euro = dataset_for("euro", scale.euro_size, DEFAULTS.seed)
+    gn = dataset_for("gn", scale.gn_sizes[-1], DEFAULTS.seed + 1)
+    return [euro.summary(), gn.summary()]

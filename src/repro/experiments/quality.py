@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 
 from ..core.engine import WhyNotEngine
 from .config import SCALES, Defaults, Scale
-from .figures import _engine_for, _point_seed
+from .figures import _point_seed, engine_for
 from .workload import WorkloadCase, WorkloadGenerator
 
 __all__ = ["QualityProfile", "profile_quality", "quality_report_rows"]
@@ -94,7 +94,7 @@ def profile_quality(
     n_cases_per_lam: int | None = None,
 ) -> List[QualityProfile]:
     """Profile the optimal refinements across a λ sweep."""
-    dataset, engine = _engine_for("euro", scale.euro_size, DEFAULTS.seed)
+    dataset, engine = engine_for("euro", scale.euro_size, DEFAULTS.seed)
     n_cases = n_cases_per_lam or max(3, scale.n_queries)
     profiles: List[QualityProfile] = []
     for lam in lams:

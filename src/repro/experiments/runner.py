@@ -8,18 +8,25 @@ metrics are averaged per method.  The runner also cross-checks that
 every *exact* method returned the same penalty on every case — the
 strongest end-to-end invariant the paper implies (all three algorithms
 solve the same optimisation problem exactly).
+
+The runner is the one run loop behind every consumer of a figure: the
+``experiment`` tables average its records per method, and the ``bench``
+emitters turn the same records into per-unit latency and I/O.  Each
+record keeps the host wall time of every round and the last round's
+answer (whose ``elapsed_seconds`` is the tables' clock).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.engine import WhyNotEngine
-from ..model.objects import Dataset
+from ..core.result import WhyNotAnswer
 from .workload import WorkloadCase
 
-__all__ = ["MethodSpec", "MethodAggregate", "PointResult", "Runner"]
+__all__ = ["MethodSpec", "MethodAggregate", "PointResult", "Record", "Runner"]
 
 _EXACT_METHODS = {"basic", "advanced", "kcr"}
 
@@ -31,6 +38,11 @@ class MethodSpec:
     label: str  # display name, e.g. "AdvancedBS" or "KcRBased-P4"
     method: str  # WhyNotEngine.answer() method name
     options: Mapping[str, object] = field(default_factory=dict)
+    key: str = ""  # BENCH unit-name suffix; defaults to ``method``
+
+    @property
+    def unit_key(self) -> str:
+        return self.key or self.method
 
     def is_exact(self) -> bool:
         if self.method in ("approximate",):
@@ -72,6 +84,16 @@ class MethodAggregate:
 
 
 @dataclass
+class Record:
+    """One (case, spec) execution: per-round wall time, last answer."""
+
+    case: WorkloadCase
+    spec: MethodSpec
+    answer: Optional[WhyNotAnswer]  # None: skipped by the BS cap
+    wall: List[float] = field(default_factory=list)
+
+
+@dataclass
 class PointResult:
     """All method aggregates at one x-axis value."""
 
@@ -79,6 +101,7 @@ class PointResult:
     x_value: object
     methods: Dict[str, MethodAggregate]
     mismatches: int = 0  # exact methods disagreeing on penalty (should be 0)
+    records: List[Record] = field(default_factory=list)
 
     def row(self) -> Dict[str, object]:
         """Flatten into a reporting row."""
@@ -94,10 +117,40 @@ class Runner:
     """Executes method specs over workload cases against one engine."""
 
     def __init__(
-        self, engine: WhyNotEngine, *, bs_candidate_cap: Optional[int] = None
+        self,
+        engine: WhyNotEngine,
+        *,
+        bs_candidate_cap: Optional[int] = None,
+        rounds: int = 1,
     ) -> None:
         self.engine = engine
         self.bs_candidate_cap = bs_candidate_cap
+        self.rounds = rounds
+
+    def run_case(self, case: WorkloadCase, spec: MethodSpec) -> Record:
+        """Time ``rounds`` cold-buffer runs of one spec on one case.
+
+        The basic algorithm is skipped on cases whose candidate space
+        exceeds ``bs_candidate_cap`` (pure-Python BS on a 2^16 space
+        takes hours; the cap and its rationale are in DESIGN.md) — the
+        record then carries no answer, so skips are counted, never
+        silently dropped.
+        """
+        record = Record(case, spec, None)
+        if (
+            spec.method == "basic"
+            and self.bs_candidate_cap is not None
+            and case.candidate_space > self.bs_candidate_cap
+        ):
+            return record
+        for _ in range(self.rounds):
+            self.engine.reset_buffers()
+            start = time.perf_counter()
+            record.answer = self.engine.answer(
+                case.question, method=spec.method, **dict(spec.options)
+            )
+            record.wall.append(time.perf_counter() - start)
+        return record
 
     def run_point(
         self,
@@ -106,44 +159,26 @@ class Runner:
         cases: Sequence[WorkloadCase],
         specs: Sequence[MethodSpec],
     ) -> PointResult:
-        """Run every spec over every case; average per spec.
-
-        The basic algorithm is skipped on cases whose candidate space
-        exceeds ``bs_candidate_cap`` (pure-Python BS on a 2^16 space
-        takes hours; the cap and its rationale are in DESIGN.md) —
-        skips are counted, never silently dropped.
-        """
+        """Run every spec over every case; average per spec."""
         aggregates = {spec.label: MethodAggregate(spec.label) for spec in specs}
-        mismatches = 0
+        result = PointResult(x_label, x_value, aggregates)
         for case in cases:
-            exact_penalties: List[Tuple[str, float]] = []
+            exact_penalties: List[float] = []
             for spec in specs:
-                agg = aggregates[spec.label]
-                if (
-                    spec.method == "basic"
-                    and self.bs_candidate_cap is not None
-                    and case.candidate_space > self.bs_candidate_cap
-                ):
+                record = self.run_case(case, spec)
+                result.records.append(record)
+                agg = result.methods[spec.label]
+                answer = record.answer
+                if answer is None:
                     agg.skipped += 1
                     continue
-                self.engine.reset_buffers()
-                answer = self.engine.answer(
-                    case.question, method=spec.method, **dict(spec.options)
-                )
                 agg.add(
                     answer.elapsed_seconds,
                     answer.io.page_reads,
                     answer.refined.penalty,
                 )
                 if spec.is_exact():
-                    exact_penalties.append((spec.label, answer.refined.penalty))
-            if exact_penalties:
-                reference = exact_penalties[0][1]
-                if any(abs(p - reference) > 1e-9 for _, p in exact_penalties[1:]):
-                    mismatches += 1
-        return PointResult(
-            x_label=x_label,
-            x_value=x_value,
-            methods=aggregates,
-            mismatches=mismatches,
-        )
+                    exact_penalties.append(answer.refined.penalty)
+            if any(abs(p - exact_penalties[0]) > 1e-9 for p in exact_penalties[1:]):
+                result.mismatches += 1
+        return result

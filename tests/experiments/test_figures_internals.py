@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.config import SCALES, Defaults
-from repro.experiments.figures import _engine_for, _point_seed, clear_cache
+from repro.experiments.figures import _point_seed, clear_cache, engine_for
 
 
 class TestDefaults:
@@ -47,14 +47,14 @@ class TestEngineCache:
     def test_same_key_same_engine(self):
         clear_cache()
         try:
-            _, engine_a = _engine_for("euro", 400, 1)
-            _, engine_b = _engine_for("euro", 400, 1)
+            _, engine_a = engine_for("euro", 400, 1)
+            _, engine_b = engine_for("euro", 400, 1)
             assert engine_a is engine_b
-            _, engine_c = _engine_for("euro", 500, 1)
+            _, engine_c = engine_for("euro", 500, 1)
             assert engine_c is not engine_a
         finally:
             clear_cache()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            _engine_for("mars", 100, 1)
+            engine_for("mars", 100, 1)

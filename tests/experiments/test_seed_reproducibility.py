@@ -6,9 +6,11 @@ this file pins.  The seed must match a fixed reference value computed
 once, which a salted hash cannot do.
 """
 
+import os
 import subprocess
 import sys
 
+from repro.experiments.benchflows import _case_seed
 from repro.experiments.figures import _point_seed
 
 
@@ -27,11 +29,12 @@ class TestPointSeedStability:
         assert _point_seed("fig4", 10) == expected
 
     def test_stable_across_processes(self):
-        """The strong form: a fresh interpreter (fresh hash salt) must
-        compute the same seed."""
+        """The strong form: fresh interpreters with different hash salts
+        must compute the same table and BENCH case seeds."""
         code = (
             "from repro.experiments.figures import _point_seed;"
-            "print(_point_seed('fig9', 4))"
+            "from repro.experiments.benchflows import _case_seed;"
+            "print(_point_seed('fig9', 4), _case_seed(('fig5', 'euro', 1500)))"
         )
         outputs = {
             subprocess.run(
@@ -39,8 +42,9 @@ class TestPointSeedStability:
                 capture_output=True,
                 text=True,
                 timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
             ).stdout.strip()
-            for _ in range(2)
+            for hash_seed in ("1", "2")
         }
-        assert len(outputs) == 1
-        assert outputs == {str(_point_seed("fig9", 4))}
+        expected = f"{_point_seed('fig9', 4)} {_case_seed(('fig5', 'euro', 1500))}"
+        assert outputs == {expected}

@@ -11,18 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import benchflows
+from repro.experiments.figures import engine_for
 
 SIZE = 1_500
 
 
 @pytest.fixture(scope="module")
-def harness():
-    return benchflows.EmitterHarness()
-
-
-@pytest.fixture(scope="module")
-def case(harness):
-    return harness.case(
+def case():
+    return benchflows.bench_case(
         "sharded-smoke",
         kind="gn",
         size=SIZE,
@@ -34,18 +30,16 @@ def case(harness):
 
 
 @pytest.fixture(scope="module")
-def reference(harness, case):
-    return benchflows.whynot_unit(
-        harness, case, "advanced", kind="gn", size=SIZE, rounds=1
-    )
+def reference(case):
+    _, engine = engine_for("gn", SIZE, benchflows.BENCH_SEED)
+    return benchflows.whynot_unit(engine, case, "advanced", rounds=1)
 
 
 class TestShardedBenchParity:
     @pytest.mark.parametrize("mode", ["simulate", "process"])
     @pytest.mark.parametrize("shards", [2, 4])
-    def test_parity_with_unsharded(self, harness, case, reference, shards, mode):
+    def test_parity_with_unsharded(self, case, reference, shards, mode):
         record = benchflows.sharded_whynot_unit(
-            harness,
             case,
             kind="gn",
             size=SIZE,
@@ -60,8 +54,8 @@ class TestShardedBenchParity:
         assert record["shards"] == shards
         assert record["shard_mode"] == mode
 
-    def test_reference_without_flag(self, harness, case):
+    def test_reference_without_flag(self, case):
         record = benchflows.sharded_whynot_unit(
-            harness, case, kind="gn", size=SIZE, shards=2, rounds=1
+            case, kind="gn", size=SIZE, shards=2, rounds=1
         )
         assert "parity_with_unsharded" not in record
