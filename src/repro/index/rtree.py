@@ -10,20 +10,27 @@ module owns the shared machinery:
   subclasses derive their payloads — the keyword-count map *is* the
   general summary, the union is its key set, and the intersection is
   the keys whose count equals the subtree cardinality;
+* Guttman insertion and deletion with the summaries kept exact: every
+  ancestor of an insert absorbs the object's document, and CondenseTree
+  reinserts an underflowing node's entries at their own level — a
+  branch's children move as whole subtrees whose new ancestors merge
+  their stored summaries (the bottom-up merge, applied to one path);
 * pager/buffer-pool plumbing and the node-fetch accounting.
 
-Subclasses implement one hook, :meth:`RTreeBase._allocate_summary`,
-which serialises a node's summary into a pager record and returns the
-record id stored in the parent's entry.
+Subclasses implement three payload hooks: :meth:`RTreeBase._summary_payload`
+serialises a bottom-up summary, :meth:`RTreeBase._augment_payload` adds
+one document to a payload and :meth:`RTreeBase._merge_payloads` merges
+sibling payloads.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from typing import (
     TYPE_CHECKING,
     Any,
+    Deque,
     Dict,
     FrozenSet,
     Iterable,
@@ -42,7 +49,7 @@ from ..storage.layout import keyword_set_bytes, node_bytes, packed_leaf_bytes
 from ..storage.packing import PackedWriter, SlotRef, fetch_slot
 from ..storage.pager import PAGE_SIZE
 from ..storage.stats import IOStatistics
-from .entries import ChildEntry, Node, ObjectEntry
+from .entries import ChildEntry, Entry, Node, ObjectEntry
 
 if TYPE_CHECKING:  # import cycle: repro.core.* imports repro.index.*
     from ..core.vectorized import PackedLeaf, VocabularyIndex
@@ -473,11 +480,17 @@ class RTreeBase:
         index = writer.add(obj.doc, keyword_set_bytes(len(obj.doc)))
         writer.flush()
         entry = ObjectEntry(oid=obj.oid, loc=obj.loc, doc_record=writer.ref(index))
-        self._insert_entry(entry, obj.doc)
+        self._insert_entry(0, entry, obj.doc)
 
-    def _insert_entry(self, entry: ObjectEntry, doc: FrozenSet[int]) -> None:
-        """Insert a pre-materialised object entry (insert + reinserts)."""
-        sibling = self._insert_into(self.root_id, entry, doc)
+    def _insert_entry(self, level: int, entry: Entry, payload: Any) -> None:
+        """Insert an entry into a node at ``level`` (0 = a leaf).
+
+        ``payload`` is what every ancestor on the path absorbs: the
+        object's document for an :class:`ObjectEntry`, the child's
+        stored summary payload for a :class:`ChildEntry` (inserts and
+        condense-tree reinserts).
+        """
+        sibling = self._insert_into(self.root_id, level, entry, payload)
         root = self.buffer.fetch(self.root_id)
         if sibling is None:
             self.root_rect = root.rect
@@ -509,17 +522,22 @@ class RTreeBase:
         self.root_summary_record = aux_record
 
     def _insert_into(
-        self, node_id: int, entry: ObjectEntry, doc: FrozenSet[int]
+        self, node_id: int, level: int, entry: Entry, payload: Any
     ) -> Optional[ChildEntry]:
         """Recursive insert; returns the split sibling's entry, if any."""
         node = self.buffer.fetch(node_id)
-        self._augment_summary_record(node.aux_record, doc)
-        if node.is_leaf:
+        self._absorb_summary(node.aux_record, level, payload)
+        if node.level == level:
             node.entries.append(entry)
         else:
-            index = self._choose_subtree(node, entry.loc)
+            target = (
+                Rect.from_point(entry.loc)
+                if isinstance(entry, ObjectEntry)
+                else entry.rect
+            )
+            index = self._choose_subtree(node, target)
             child = node.entries[index]
-            sibling = self._insert_into(child.child_id, entry, doc)
+            sibling = self._insert_into(child.child_id, level, entry, payload)
             child_node = self.buffer.fetch(child.child_id)
             node.entries[index] = ChildEntry(
                 child_id=child.child_id,
@@ -541,9 +559,8 @@ class RTreeBase:
     def _entry_rect(node: Node, entry: Any) -> Rect:
         return Rect.from_point(entry.loc) if node.is_leaf else entry.rect
 
-    def _choose_subtree(self, node: Node, point) -> int:
-        """Guttman ChooseLeaf: minimum area enlargement, ties by area."""
-        target = Rect.from_point(point)
+    def _choose_subtree(self, node: Node, target: Rect) -> int:
+        """Guttman ChooseSubtree: minimum area enlargement, ties by area."""
         best_index = 0
         best_key = (math.inf, math.inf)
         for index, entry in enumerate(node.entries):
@@ -604,10 +621,14 @@ class RTreeBase:
 
         FindLeaf locates the entry by containment on the object's
         point; CondenseTree removes underflowing nodes (below 40% of
-        capacity) and reinserts their objects; a single-child root is
-        collapsed.  Textual summaries cannot be decremented (unions and
-        intersections are not invertible), so every node on the
-        deletion path recomputes its summary from its members.
+        capacity) and reinserts their entries at their own level — an
+        underflowing leaf's objects as objects, an underflowing branch's
+        child entries as whole subtrees whose records stay untouched;
+        a single-child root is collapsed.  Textual summaries cannot be
+        decremented (unions and intersections are not invertible), so
+        every node on the deletion path recomputes its summary from its
+        members; a reinserted subtree's ancestors merge its stored
+        summary in.
 
         Deleting the last indexed object is refused — an empty R-tree
         has no valid MBR and the library's datasets are non-empty by
@@ -620,29 +641,33 @@ class RTreeBase:
             raise IndexStructureError(
                 "refusing to delete the last indexed object"
             )
-        orphans: List[Tuple[ObjectEntry, FrozenSet[int]]] = []
+        orphans: Deque[Tuple[int, Entry, Any]] = deque()
         if not self._delete_rec(self.root_id, obj, orphans):
             raise IndexStructureError(f"object {obj.oid} is not indexed")
         # Collapse a single-child branch root (tree shrinks).
         root = self.buffer.fetch(self.root_id)
         while not root.is_leaf and len(root.entries) == 1:
             only = root.entries[0]
-            self.buffer.free(root.node_id)
-            self.buffer.free(root.aux_record)
-            self.node_count -= 1
+            self._free_node(root)
             self.height -= 1
             self.root_id = only.child_id
             self.root_summary_record = only.aux_record
             root = self.buffer.fetch(self.root_id)
         self.root_rect = root.rect
-        for entry, doc in orphans:
-            self._insert_entry(entry, doc)
+        while orphans:
+            level, entry, payload = orphans.popleft()
+            if isinstance(entry, ChildEntry) and level >= self.height:
+                # The root collapsed below this entry's level: dissolve
+                # the orphaned node and reinsert its entries one down.
+                self._orphan_entries(self.buffer.fetch(entry.child_id), orphans)
+            else:
+                self._insert_entry(level, entry, payload)
 
     def _delete_rec(
         self,
         node_id: int,
         obj: SpatialObject,
-        orphans: List[Tuple[ObjectEntry, FrozenSet[int]]],
+        orphans: Deque[Tuple[int, Entry, Any]],
     ) -> bool:
         node = self.buffer.fetch(node_id)
         if node.is_leaf:
@@ -660,7 +685,7 @@ class RTreeBase:
             child_node = self.buffer.fetch(child_entry.child_id)
             if len(child_node.entries) < self.min_fill:
                 node.entries.pop(index)
-                self._evict_subtree(child_node, orphans)
+                self._orphan_entries(child_node, orphans)
             else:
                 node.entries[index] = ChildEntry(
                     child_id=child_entry.child_id,
@@ -671,20 +696,23 @@ class RTreeBase:
             return True
         return False
 
-    def _evict_subtree(
-        self,
-        node: Node,
-        orphans: List[Tuple[ObjectEntry, FrozenSet[int]]],
+    def _orphan_entries(
+        self, node: Node, orphans: Deque[Tuple[int, Entry, Any]]
     ) -> None:
-        """Collect a condensed-away subtree's objects for reinsertion
-        and release its node/summary records."""
-        if node.is_leaf:
-            for entry in node.entries:
-                orphans.append((entry, self.fetch_doc(entry.doc_record)))
-        else:
-            for entry in node.entries:
-                child = self.buffer.fetch(entry.child_id)
-                self._evict_subtree(child, orphans)
+        """Queue a condensed-away node's entries for reinsertion at its
+        level, each with the payload its new ancestors absorb (an
+        object's document, a child's stored summary), and release the
+        node's own records; its children's records are kept."""
+        for entry in node.entries:
+            payload = (
+                self.fetch_doc(entry.doc_record)
+                if isinstance(entry, ObjectEntry)
+                else self.buffer.fetch(entry.aux_record)
+            )
+            orphans.append((node.level, entry, payload))
+        self._free_node(node)
+
+    def _free_node(self, node: Node) -> None:
         self.buffer.free(node.node_id)
         self.buffer.free(node.aux_record)
         if node.packed_record >= 0:
@@ -703,9 +731,13 @@ class RTreeBase:
                 self._repack_leaf(node)
         self._write_node(node)
 
-    def _augment_summary_record(self, aux_record: int, doc: FrozenSet[int]) -> None:
-        payload = self.buffer.fetch(aux_record)
-        new_payload, nbytes = self._augment_payload(payload, doc)
+    def _absorb_summary(self, aux_record: int, level: int, payload: Any) -> None:
+        """Grow an ancestor's summary by an entry inserted at ``level``."""
+        current = self.buffer.fetch(aux_record)
+        if level == 0:
+            new_payload, nbytes = self._augment_payload(current, payload)
+        else:
+            new_payload, nbytes = self._merge_payloads([current, payload])
         self.buffer.update(aux_record, new_payload, nbytes)
 
     def _write_node(self, node: Node) -> None:
@@ -718,14 +750,27 @@ class RTreeBase:
         """Walk the whole tree checking structural invariants.
 
         Raises :class:`IndexStructureError` on the first violation:
-        child MBRs must be contained in the parent entry's MBR, leaf
-        levels must be 0, every object must appear exactly once.
+        child MBRs must be contained in the parent entry's MBR, every
+        child must sit one level below its parent, leaves at level 0
+        and the root at ``height - 1``, every object must appear
+        exactly once.
         """
+        root = self.buffer.fetch(self.root_id)
+        if root.level + 1 != self.height:
+            raise IndexStructureError(
+                f"root at level {root.level} but height is {self.height}"
+            )
         seen_objects: List[int] = []
-        stack: List[Tuple[int, Optional[Rect]]] = [(self.root_id, None)]
+        stack: List[Tuple[int, Optional[Rect], int]] = [
+            (self.root_id, None, root.level)
+        ]
         while stack:
-            node_id, parent_rect = stack.pop()
+            node_id, parent_rect, level = stack.pop()
             node = self.buffer.fetch(node_id)
+            if node.level != level:
+                raise IndexStructureError(
+                    f"node {node_id} at level {node.level}, parent implies {level}"
+                )
             actual = bounding_rect(
                 Rect.from_point(e.loc) if node.is_leaf else e.rect
                 for e in node.entries
@@ -740,6 +785,6 @@ class RTreeBase:
                 seen_objects.extend(e.oid for e in node.entries)
             else:
                 for entry in node.entries:
-                    stack.append((entry.child_id, entry.rect))
+                    stack.append((entry.child_id, entry.rect, node.level - 1))
         if sorted(seen_objects) != sorted(o.oid for o in self.dataset):
             raise IndexStructureError("tree does not index the dataset exactly once")

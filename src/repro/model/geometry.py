@@ -136,7 +136,10 @@ class Rect:
 
         This is ``MinDist(N, q)`` in Theorems 1 and 2: zero when the
         point lies inside the rectangle, otherwise the distance to the
-        nearest edge or corner.
+        nearest edge or corner.  Computed like :func:`euclidean`, whose
+        correctly-rounded steps are monotone, so it never exceeds the
+        computed distance of a point inside — ``math.hypot`` can, by
+        one ulp, and a bound that tight must not.
         """
         x, y = point
         dx = 0.0
@@ -155,7 +158,7 @@ class Rect:
             return dy
         if dy == 0.0:  # lint: exact-float
             return dx
-        return math.hypot(dx, dy)
+        return math.sqrt(dx * dx + dy * dy)
 
     def max_dist(self, point: Point) -> float:
         """Maximum distance from ``point`` to any point in this rectangle.
@@ -164,11 +167,15 @@ class Rect:
         most this far from the query, so a textual similarity above the
         Theorem-2-style threshold derived from ``max_dist`` guarantees
         domination regardless of where in the node the object sits.
+        Computed like :func:`euclidean`, so it is never below the
+        computed distance of a point inside (``math.hypot`` can be one
+        ulp below, which let a node holding only an exact tie of the
+        missing object count it as a guaranteed dominator).
         """
         x, y = point
         dx = max(abs(x - self.min_x), abs(x - self.max_x))
         dy = max(abs(y - self.min_y), abs(y - self.max_y))
-        return math.hypot(dx, dy)
+        return math.sqrt(dx * dx + dy * dy)
 
     def corners(self) -> Iterator[Point]:
         yield (self.min_x, self.min_y)

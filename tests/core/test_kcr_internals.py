@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro import KcRTree, make_micro_example
+from repro import (
+    Dataset,
+    KcRTree,
+    SpatialKeywordQuery,
+    SpatialObject,
+    WhyNotEngine,
+    WhyNotQuestion,
+    make_micro_example,
+)
 from repro.core.candidates import Candidate
 from repro.core.kcr_algorithm import KcRWalker, _CandidateState
 
@@ -77,3 +85,33 @@ class TestAlgorithmPlumbing:
         )
         for lo, hi in zip(lower, upper):
             assert lo <= hi + 1e-12
+
+
+class TestNodeOfExactTies:
+    def test_lone_missing_object_leaf_is_not_its_own_dominator(self):
+        # STR puts the missing object alone in a leaf whose MBR is its
+        # point; MinDom must not count it (an exact tie) as dominating.
+        rows = [
+            (0.5, 0.0, {0, 1}), (0.0, 0.3, {0}), (0.25, 0.1, {0}),
+            (0.0, 0.0, {0}), (0.5, 0.0, {0, 1}), (0.25, 0.0, {0, 2}),
+            (0.5, 0.0, {1}), (0.25, 0.1, {0, 1}), (0.25, 0.3, {1}),
+            (0.5, 0.0, {1}), (0.5, 0.0, {0, 2}),
+            (1.0, 0.6320035744877769, {0, 2}), (1.0, 0.5, {0, 1, 2}),
+        ]
+        dataset = Dataset(
+            [
+                SpatialObject(oid=oid, loc=(x, y), doc=frozenset(doc))
+                for oid, (x, y, doc) in enumerate(rows)
+            ],
+            diagonal=2.0**0.5,
+        )
+        engine = WhyNotEngine(dataset, capacity=4)
+        query = SpatialKeywordQuery(
+            loc=(0.9375, 0.9454823126665521), doc=frozenset({1}), k=2
+        )
+        question = WhyNotQuestion(query, (11,), lam=0.5)
+        penalties = {
+            method: engine.answer(question, method=method).refined.penalty
+            for method in ("basic", "advanced", "kcr")
+        }
+        assert penalties["kcr"] == penalties["advanced"] == penalties["basic"]

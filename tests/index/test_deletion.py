@@ -16,6 +16,7 @@ from repro import (
     WhyNotEngine,
     make_euro_like,
 )
+from repro.analysis import check_tree
 
 
 def _score_multiset(oracle, dataset, query, oids):
@@ -161,6 +162,117 @@ class TestTreeDeletion:
             dataset.remove(oid)
         tree.validate()
         assert tree.height < initial_height
+
+
+def _leaf_ids(tree, node_id):
+    node = tree.buffer.peek(node_id)
+    if node.is_leaf:
+        return [node.node_id]
+    return [leaf for e in node.entries for leaf in _leaf_ids(tree, e.child_id)]
+
+
+def _record_orphaned(tree):
+    """Wrap the tree's condense hook; return the list of nodes it
+    orphans as ``(level, ids of the leaves below, height at the call)``."""
+    orphaned = []
+    orphan_entries = tree._orphan_entries
+
+    def recording(node, orphans):
+        leaves = [] if node.is_leaf else _leaf_ids(tree, node.node_id)
+        orphaned.append((node.level, leaves, tree.height))
+        orphan_entries(node, orphans)
+
+    tree._orphan_entries = recording
+    return orphaned
+
+
+def _objects_under(tree, node_id):
+    node = tree.buffer.peek(node_id)
+    if node.is_leaf:
+        return [e.oid for e in node.entries]
+    return [oid for e in node.entries for oid in _objects_under(tree, e.child_id)]
+
+
+class TestCondenseTree:
+    """An underflowing branch's children go back in at their own level
+    (Guttman's CondenseTree); only the branch's own records go."""
+
+    @pytest.mark.parametrize("tree_cls", [SetRTree, KcRTree])
+    def test_internal_condense_moves_subtrees(self, tree_cls):
+        full, _ = make_euro_like(600, seed=7)
+        dataset = Dataset(list(full.objects), diagonal=full.diagonal)
+        tree = tree_cls(dataset, capacity=8)
+        orphaned = _record_orphaned(tree)
+        first, second = dataset.objects[0], dataset.objects[1]
+        tree.delete(first)
+        dataset.remove(first.oid)
+        assert not any(level > 0 for level, _, _ in orphaned)
+
+        writes = tree.stats.page_writes
+        tree.delete(second)
+        dataset.remove(second.oid)
+        written = tree.stats.page_writes - writes
+        moved = [leaves for level, leaves, _ in orphaned if level > 0]
+        assert moved, "the second delete must condense a branch node"
+        assert written <= 4 * tree.height * tree.capacity
+        surviving = set(_leaf_ids(tree, tree.root_id))
+        for leaves in moved:
+            assert leaves and set(leaves) <= surviving
+        assert check_tree(tree).ok
+        tree.validate()
+
+    @pytest.mark.parametrize("tree_cls", [SetRTree, KcRTree])
+    def test_root_collapse_dissolves_orphaned_node(self, tree_cls):
+        # The root has two children: one over four leaves, the other
+        # over a single leaf.  Emptying the first condenses it while the
+        # root collapses two levels, below the orphan's level, so the
+        # orphaned node is dissolved into its leaf's objects.
+        full, _ = make_euro_like(17, seed=3)
+        dataset = Dataset(list(full.objects), diagonal=full.diagonal)
+        tree = tree_cls(dataset, capacity=4)
+        root = tree.buffer.peek(tree.root_id)
+        sizes = sorted(
+            len(tree.buffer.peek(e.child_id).entries) for e in root.entries
+        )
+        assert (tree.height, sizes) == (3, [1, 4])
+        fat = max(
+            root.entries, key=lambda e: len(tree.buffer.peek(e.child_id).entries)
+        )
+        victims = _objects_under(tree, fat.child_id)
+        orphaned = _record_orphaned(tree)
+        # A node condensed off the delete path sits at most at
+        # height - 2; a higher one is a dissolve after the collapse.
+        dissolves = lambda: [  # noqa: E731
+            level for level, _, height in orphaned if level >= height - 1
+        ]
+        for oid in victims:
+            tree.delete(dataset.get(oid))
+            dataset.remove(oid)
+            assert check_tree(tree).ok
+            if dissolves():
+                break
+        assert dissolves() == [0]
+        tree.validate()
+
+
+class TestValidateLevels:
+    def _tree(self):
+        full, _ = make_euro_like(120, seed=11)
+        return SetRTree(full, capacity=4)
+
+    def test_child_one_level_too_high(self):
+        tree = self._tree()
+        root = tree.buffer.fetch(tree.root_id)
+        child = tree.buffer.fetch(root.entries[0].child_id)
+        child.level += 1
+        with pytest.raises(IndexStructureError, match="level"):
+            tree.validate()
+
+    def test_stale_height(self):
+        tree = self._tree()
+        tree.height += 1
+        with pytest.raises(IndexStructureError, match="height"):
+            tree.validate()
 
 
 class TestEngineRemove:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.model.geometry import Point, Rect, bounding_rect, euclidean, space_diagonal
@@ -97,6 +98,26 @@ class TestMinMaxDist:
         rect = Rect(0.0, 0.0, 4.0, 4.0)
         # from the center, farthest corner is at distance 2*sqrt(2)
         assert rect.max_dist((2.0, 2.0)) == pytest.approx(2.0 * math.sqrt(2.0))
+
+
+    def test_degenerate_rect_matches_euclidean_exactly(self):
+        # math.hypot puts this pair one ulp below sqrt(dx*dx + dy*dy).
+        point, query = (1.0, 0.6320035744877769), (0.9375, 0.9454823126665521)
+        rect = Rect.from_point(point)
+        assert rect.min_dist(query) == euclidean(point, query)
+        assert rect.max_dist(query) == euclidean(point, query)
+
+    def test_bounds_bracket_every_inside_point_exactly(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            xs, ys = np.sort(rng.random(2)), np.sort(rng.random(2))
+            rect = Rect(float(xs[0]), float(ys[0]), float(xs[1]), float(ys[1]))
+            query = (float(rng.random()), float(rng.random()))
+            corner = (float(rng.choice(xs)), float(rng.choice(ys)))
+            inside = (float(rng.uniform(*xs)), float(rng.uniform(*ys)))
+            for point in (corner, inside):
+                distance = euclidean(point, query)
+                assert rect.min_dist(query) <= distance <= rect.max_dist(query)
 
 
 class TestBoundingRect:
