@@ -5,19 +5,21 @@ SetR-tree bound needs every node's union/intersection sets and MBRs
 maintained exactly, and the penalty model (Eqn 4) misbehaves silently
 on float-equality edge cases.  This package guards both sides:
 
-* :mod:`repro.analysis.lint` — an AST-based rule engine with
-  repo-specific rules (float-literal equality, bare asserts, mutable
-  defaults, missing public annotations, stray ``print``).
-  CLI: ``repro-whynot lint <paths>``.
-* :mod:`repro.analysis.flow` — whole-package interprocedural effect
-  inference (call graph in :mod:`repro.analysis.callgraph`, local
+* :mod:`repro.analysis.callgraph` — the one front end: it parses and
+  tokenizes every file once, keeps each module's waiver comments, and
+  builds the whole-package call graph every layer below reads.
+* :mod:`repro.analysis.lint` — repo-specific syntactic rules
+  (float-literal equality, bare asserts, mutable defaults, missing
+  public annotations, stray ``print``) over the graph's parsed trees.
+* :mod:`repro.analysis.flow` — interprocedural effect inference (local
   effects in :mod:`repro.analysis.effects`) enforcing the three
-  concurrency contracts: worker-read-only, io-through-pool (the
-  call-graph-aware successor of the old syntactic ``pager-access``
-  lint rule), and exception-safety on the quarantine path.
+  concurrency contracts: worker-read-only, io-through-pool (raw pager
+  access outside the storage layer), and exception-safety on the
+  quarantine path.
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — the
-  per-function control-flow graphs (with exception edges) and the
-  generic forward worklist solver the dataflow checkers run on.
+  per-function control-flow graphs (with exception edges), the forward
+  worklist solver the dataflow checkers run on, and the one
+  interprocedural worklist flow and taint both reach their fixpoints on.
 * :mod:`repro.analysis.taint` — determinism-taint: unsanitized
   nondeterminism (time / random / fs-order / set-iteration / hash-id,
   from the shared :mod:`repro.analysis.registry` taxonomy) reaching a
@@ -26,34 +28,21 @@ on float-equality edge cases.  This package guards both sides:
   spill files, shard pipes/workers, locks, and the shard quarantine
   lifecycle (leak-on-exception-edge, double-release,
   use-after-quarantine).
-* :mod:`repro.analysis.driver` — the unified ``analyze`` runner
-  composing all of the above over one parsed call graph, with waiver,
-  stale-waiver, and baseline-ratchet semantics.
+* :mod:`repro.analysis.driver` — the ``analyze`` runner composing all
+  of the above over one parsed call graph, with waiver, stale-waiver,
+  and baseline-ratchet semantics; every layer reports the one
+  :class:`~repro.analysis.finding.Finding` type.
   CLI: ``repro-whynot analyze [--rules ...|--all]``.
 * :mod:`repro.analysis.sanitize` — structural walkers validating
   R-tree/SetR-tree/KcR-tree invariants and buffer-pool accounting.
   CLI: ``repro-whynot check-invariants``.
 """
 
-from .driver import ALL_RULESETS, AnalysisReport, StaleWaiver, run_analysis
-from .flow import (
-    EFFECT_KINDS,
-    FlowAnalysis,
-    FlowConfig,
-    FlowReport,
-    Violation,
-    analyze_paths,
-    collect_waivers,
-    finding_is_waived,
-    load_baseline,
-)
-from .lifetime import (
-    RESOURCE_SPECS,
-    LifetimeFinding,
-    ResourceSpec,
-    check_lifetime,
-)
-from .lint import Finding, LintRule, Linter, lint_paths
+from .driver import ALL_RULESETS, AnalysisReport, load_baseline, run_analysis
+from .finding import Finding
+from .flow import EFFECT_KINDS, FlowAnalysis, FlowConfig
+from .lifetime import RESOURCE_SPECS, ResourceSpec, check_lifetime
+from .lint import DEFAULT_RULES, LintRule, check_lint
 from .sanitize import (
     CORRUPTION_KINDS,
     InvariantViolation,
@@ -62,29 +51,21 @@ from .sanitize import (
     check_tree,
     scan_corruption,
 )
-from .taint import TaintFinding, check_taint
+from .taint import check_taint
 
 __all__ = [
     "Finding",
     "LintRule",
-    "Linter",
-    "lint_paths",
+    "DEFAULT_RULES",
+    "check_lint",
     "EFFECT_KINDS",
     "FlowAnalysis",
     "FlowConfig",
-    "FlowReport",
-    "Violation",
-    "analyze_paths",
-    "collect_waivers",
-    "finding_is_waived",
     "load_baseline",
     "ALL_RULESETS",
     "AnalysisReport",
-    "StaleWaiver",
     "run_analysis",
-    "TaintFinding",
     "check_taint",
-    "LifetimeFinding",
     "ResourceSpec",
     "RESOURCE_SPECS",
     "check_lifetime",

@@ -28,14 +28,24 @@ Module names are anchored by walking up the directory tree while an
 ``__init__.py`` is present, so a fixture tree named ``repro/...`` under
 a temporary directory lands in the same contract scopes as the shipped
 library — fixtures are parsed, never imported.
+
+Every analysis layer reads the source through this graph: each file is
+parsed once and tokenized at most once, and its waiver comments are
+kept on its :class:`ModuleInfo` — ``# lint: <rule>[, <rule>]`` for the
+lint rules and ``# flow: waiver(<rule>[, <rule>])`` for the flow, taint
+and lifetime rules.  Tokenizing waits for the first waiver lookup, so
+a run whose findings never consult a module's waivers skips it.
 """
 
 from __future__ import annotations
 
 import ast
+import io
+import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 __all__ = [
     "CallTarget",
@@ -44,13 +54,12 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "build_graph",
+    "collect_waivers",
     "iter_python_files",
     "module_name_for",
 ]
 
 PathLike = Union[str, Path]
-
-_INIT_NAMES = frozenset({"__init__", "__post_init__", "__new__"})
 
 _OPTIONAL_WRAPPERS = frozenset({"Optional", "Final", "ClassVar"})
 
@@ -101,14 +110,50 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+Waivers = Dict[int, Set[str]]
+
+
+def collect_waivers(source: str) -> Dict[str, Waivers]:
+    """Waiver tables by comment form (``lint``, ``flow``): line -> the
+    rule names a comment on that line names."""
+    lint: Waivers = {}
+    flow: Waivers = {}
+    try:
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            text = token.string.lstrip("#").strip()
+            if text.startswith("lint:"):
+                table, names = lint, text[len("lint:"):]
+            elif text.startswith("flow:"):
+                body = text[len("flow:"):].strip()
+                if not (body.startswith("waiver(") and body.endswith(")")):
+                    continue
+                table, names = flow, body[len("waiver("):-1]
+            else:
+                continue
+            rules = {name.strip() for name in names.split(",") if name.strip()}
+            if rules:
+                table.setdefault(token.start[0], set()).update(rules)
+    except tokenize.TokenError:
+        pass  # only reached for sources ast.parse already accepted
+    return {"lint": lint, "flow": flow}
+
+
 @dataclass
 class ModuleInfo:
-    """One parsed source file."""
+    """One parsed source file and its waiver comments."""
 
     name: str
     path: str
     tree: ast.Module
+    source: str = ""
     imports: Dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def waivers(self) -> Dict[str, Waivers]:
+        """:func:`collect_waivers` of the source, tokenized once."""
+        return collect_waivers(self.source)
 
 
 @dataclass
@@ -176,14 +221,22 @@ class CodeGraph:
 
     def add_source(self, path: PathLike, source: Optional[str] = None) -> None:
         resolved = Path(path)
+        name = module_name_for(resolved)
+        if name in self.modules:
+            # Every layer finds modules by name: a second file under the
+            # same name would silently replace the first one.
+            self.errors.append(
+                f"{resolved}: module {name} already read from "
+                f"{self.modules[name].path}"
+            )
+            return
         text = resolved.read_text(encoding="utf-8") if source is None else source
         try:
             tree = ast.parse(text, filename=str(resolved))
         except SyntaxError as exc:
             self.errors.append(f"{resolved}: {exc.msg} (line {exc.lineno})")
             return
-        name = module_name_for(resolved)
-        info = ModuleInfo(name=name, path=str(resolved), tree=tree)
+        info = ModuleInfo(name=name, path=str(resolved), tree=tree, source=text)
         info.imports = self._collect_imports(info)
         self.modules[name] = info
         self._collect_definitions(info)

@@ -84,16 +84,6 @@ class CFG:
     def add_exc_edge(self, src: int, dst: int) -> None:
         self.exc_succ[src].add(dst)
 
-    def predecessors(self) -> Dict[int, Set[int]]:
-        preds: Dict[int, Set[int]] = {n.index: set() for n in self.nodes}
-        for src, dsts in self.succ.items():
-            for dst in dsts:
-                preds[dst].add(src)
-        for src, dsts in self.exc_succ.items():
-            for dst in dsts:
-                preds[dst].add(src)
-        return preds
-
 
 def _handler_catches_storage(handler: ast.ExceptHandler) -> bool:
     """True when this handler can catch the storage-error family."""

@@ -11,20 +11,57 @@ completes — the may-analysis assumption the lifetime checker needs:
 
 The checkers compose this intraprocedural solver with the
 :mod:`repro.analysis.callgraph` summaries: each function is solved with
-its callees' summaries as transfer-function inputs, and the summary
-loop in :mod:`repro.analysis.taint` iterates the per-function solves to
-an interprocedural fixpoint, yielding call-chain witnesses.
+its callees' summaries as inputs, and :func:`solve_summaries` — the one
+interprocedural worklist, shared by the flow effect signatures and the
+taint summaries — re-solves callers until no summary changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, TypeVar
+from typing import Callable, Dict, Generic, Iterable, List, Mapping, Optional, TypeVar
 
 from .cfg import CFG, CFGNode
 
-__all__ = ["ForwardSolver"]
+__all__ = ["ForwardSolver", "MAX_ROUNDS", "solve_summaries"]
 
 S = TypeVar("S")
+
+# The interprocedural iteration bound: at most this many evaluations
+# per function, on average, before a solve gives up.
+MAX_ROUNDS = 12
+
+
+def solve_summaries(
+    keys: Iterable[str],
+    evaluate: Callable[[str], bool],
+    callers: Mapping[str, Iterable[str]],
+) -> bool:
+    """Re-evaluate function summaries to an interprocedural fixpoint.
+
+    Every key starts dirty, in sorted order.  The last dirty key is
+    popped and re-evaluated; ``evaluate(key)`` returns whether its
+    summary changed, and if it did, every caller of ``key`` becomes
+    dirty again.  ``callers`` is read after each evaluation, so an
+    ``evaluate`` that discovers its callees may fill it in as it goes.
+
+    Returns ``False`` when the solve stops at the :data:`MAX_ROUNDS`
+    bound with keys still dirty (the summaries are then incomplete).
+    """
+    worklist = sorted(keys)
+    dirty = set(worklist)
+    budget = MAX_ROUNDS * len(worklist)
+    while worklist:
+        if budget == 0:
+            return False
+        budget -= 1
+        key = worklist.pop()
+        dirty.discard(key)
+        if evaluate(key):
+            for caller in sorted(callers.get(key, ())):
+                if caller not in dirty:
+                    dirty.add(caller)
+                    worklist.append(caller)
+    return True
 
 
 class ForwardSolver(Generic[S]):
@@ -51,7 +88,6 @@ class ForwardSolver(Generic[S]):
         self.transfer = transfer
         self.entry_state = entry_state
         self.max_passes = max_passes
-        self.in_states: Dict[int, S] = {}
 
     def solve(self) -> Dict[int, S]:
         cfg = self.cfg
@@ -86,7 +122,6 @@ class ForwardSolver(Generic[S]):
                     if dst not in queued:
                         queued.add(dst)
                         worklist.append(dst)
-        self.in_states = states
         return states
 
     def _edges(self, index: int, pre: S, post: S):
@@ -94,6 +129,3 @@ class ForwardSolver(Generic[S]):
             yield dst, post
         for dst in sorted(self.cfg.exc_succ.get(index, ())):
             yield dst, pre
-
-    def state_at(self, index: int) -> S:
-        return self.in_states.get(index, self.initial())

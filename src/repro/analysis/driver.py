@@ -1,8 +1,11 @@
 """Unified analysis driver: lint → flow → taint → lifetime in one run.
 
-The four layers compose over ONE parsed call graph:
+The four layers compose over one parsed call graph — every file is
+parsed once, and tokenized for its waiver comments at most once, by
+:class:`~repro.analysis.callgraph.CodeGraph`:
 
-* **lint** (:mod:`.lint`) — syntactic per-file rules;
+* **lint** (:mod:`.lint`) — syntactic per-module rules over the
+  graph's parsed trees;
 * **flow** (:mod:`.flow`) — interprocedural effect signatures and the
   three concurrency contracts;
 * **taint** (:mod:`.taint`) — determinism-taint dataflow over the CFG,
@@ -11,19 +14,23 @@ The four layers compose over ONE parsed call graph:
   whose exception edges come from the flow layer's ``raises-storage``
   signatures.
 
-Waivers: lint findings use ``# lint: <rule>`` comments; flow, taint,
-and lifetime findings use ``# flow: waiver(<rule>)`` (the finding
-line, the line above, or the anchor function's ``def`` line).  When
-every ruleset runs, the driver also inventories all waiver comments
-and reports any that suppressed nothing as ``stale-waiver`` findings —
-a waiver that outlives its violation is a lie in the margins.
+Flow and taint reach their interprocedural fixpoints on the one
+worklist, :func:`repro.analysis.dataflow.solve_summaries`; a solve that
+hits its iteration bound is reported in ``errors``.
 
-Baseline: one checked-in ratchet file shared across rulesets.  Flow
-violation keys are stored unprefixed (compatible with the PR 3-era
-``flow-baseline.json``); taint and lifetime keys carry their
-``taint::`` / ``lifetime::`` prefixes.  Lint and stale-waiver findings
-are never baselined — they are cheap to fix and the ratchet would
-invite rot.
+Waivers, read from the graph's per-module waiver tables: lint findings
+use ``# lint: <rule>`` comments (the finding line or the line above);
+flow, taint and lifetime findings use ``# flow: waiver(<rule>)`` (the
+finding line, the line above, or the anchor function's ``def`` line or
+the line above it).  When every ruleset runs, :func:`run_analysis` also
+reports each waiver comment that suppressed nothing as a
+``stale-waiver`` finding — a waiver that outlives its violation is a lie
+in the margins.
+
+Baseline: one checked-in ratchet file shared across rulesets, holding
+finding keys (see :class:`~repro.analysis.finding.Finding`).  Lint and
+stale-waiver findings are never baselined — they are cheap to fix and
+the ratchet would invite rot.
 """
 
 from __future__ import annotations
@@ -35,113 +42,108 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CodeGraph, build_graph
-from .flow import (
-    FlowAnalysis,
-    FlowConfig,
-    FlowReport,
-    _coverage,
-    collect_waivers,
-    finding_is_waived,
-)
-from .lifetime import LifetimeFinding, check_lifetime
-from .lint import Finding as LintFinding
-from .lint import _collect_waivers as collect_lint_waivers
-from .lint import default_linter
-from .taint import TaintFinding, check_taint
+from .finding import STALE_WAIVER, Finding
+from .flow import FlowAnalysis, FlowConfig
+from .lifetime import check_lifetime
+from .lint import check_lint
+from .taint import TaintChecker
 
 __all__ = [
     "ALL_RULESETS",
     "AnalysisReport",
-    "StaleWaiver",
+    "load_baseline",
     "run_analysis",
 ]
 
 ALL_RULESETS: Tuple[str, ...] = ("lint", "flow", "taint", "lifetime")
 
-STALE_WAIVER_RULE = "stale-waiver"
+BASELINED_RULESETS = frozenset({"flow", "taint", "lifetime"})
+
+# The JSON fields of each ruleset's findings, as ``(json, attribute)``.
+_CHAINED_FIELDS = (
+    ("rule", "rule"),
+    ("key", "key"),
+    ("function", "function"),
+    ("module", "module"),
+    ("path", "path"),
+    ("line", "line"),
+    ("message", "message"),
+    ("chain", "chain"),
+    ("waived", "waived"),
+    ("baselined", "baselined"),
+)
+_JSON_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "lint": tuple(
+        (name, name)
+        for name in ("rule", "path", "line", "col", "message", "waived")
+    ),
+    "flow": _CHAINED_FIELDS + (("entry", "entry"),),
+    "taint": _CHAINED_FIELDS,
+    "lifetime": _CHAINED_FIELDS,
+    STALE_WAIVER: (
+        ("comment_kind", "kind"),
+        ("path", "path"),
+        ("line", "line"),
+        ("rule", "rule"),
+    ),
+}
+
+# A waiver position: (module path, line, rule name).
+Used = Set[Tuple[str, int, str]]
 
 
-@dataclass(frozen=True)
-class StaleWaiver:
-    """A waiver comment that suppressed no finding in this run."""
-
-    comment_kind: str  # "lint" | "flow"
-    path: str
-    line: int
-    rule: str
-
-    @property
-    def key(self) -> str:
-        return f"{STALE_WAIVER_RULE}::{self.path}::{self.line}::{self.rule}"
-
-    def format(self) -> str:
-        marker = (
-            f"# lint: {self.rule}"
-            if self.comment_kind == "lint"
-            else f"# flow: waiver({self.rule})"
-        )
-        return (
-            f"{self.path}:{self.line}: [{STALE_WAIVER_RULE}] '{marker}' "
-            f"suppresses nothing; delete it or fix the rule name"
-        )
+def load_baseline(path: str) -> Set[str]:
+    """Finding keys recorded in a baseline file (empty if absent)."""
+    baseline_path = Path(path)
+    if not baseline_path.exists():
+        return set()
+    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
+    return set(payload.get("violations", []))
 
 
 @dataclass
 class AnalysisReport:
-    """Combined result of one ``analyze`` run."""
+    """Combined result of one ``analyze`` run, and its only renderer."""
 
     rulesets: Tuple[str, ...]
     n_modules: int
     n_functions: int
-    lint: List[LintFinding] = field(default_factory=list)
-    flow: Optional[FlowReport] = None
-    taint: List[TaintFinding] = field(default_factory=list)
-    lifetime: List[LifetimeFinding] = field(default_factory=list)
-    stale_waivers: List[StaleWaiver] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)
+    # Per-function flow effect signatures (when ``flow`` ran).
+    signatures: Dict[str, List[str]] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
-    # -- gating ---------------------------------------------------------
+    def of(self, ruleset: str) -> List[Finding]:
+        return [f for f in self.findings if f.ruleset == ruleset]
+
+    @property
+    def blocking(self) -> List[Finding]:
+        return [f for f in self.findings if f.blocking]
 
     @property
     def blocking_count(self) -> int:
-        count = len([f for f in self.lint if not f.waived])
-        if self.flow is not None:
-            count += len(self.flow.blocking)
-        count += len(
-            [f for f in self.taint if not f.waived and not f.baselined]
-        )
-        count += len(
-            [f for f in self.lifetime if not f.waived and not f.baselined]
-        )
-        count += len(self.stale_waivers)
-        return count
+        return len(self.blocking)
 
     @property
     def suppressed_count(self) -> int:
-        count = len([f for f in self.lint if f.waived])
-        if self.flow is not None:
-            count += len(
-                [v for v in self.flow.violations if v.waived or v.baselined]
-            )
-        count += len([f for f in self.taint if f.waived or f.baselined])
-        count += len([f for f in self.lifetime if f.waived or f.baselined])
-        return count
+        return len(self.findings) - self.blocking_count
 
     def baseline_payload(self) -> Dict:
-        """Ratchet keys: flow unprefixed, taint/lifetime prefixed."""
-        keys: Set[str] = set()
-        if self.flow is not None:
-            keys.update(
-                v.key for v in self.flow.violations if not v.waived
-            )
-        keys.update(f.key for f in self.taint if not f.waived)
-        keys.update(f.key for f in self.lifetime if not f.waived)
+        """Ratchet keys of every unwaived baselinable finding."""
+        keys = {
+            f.key
+            for f in self.findings
+            if f.ruleset in BASELINED_RULESETS and not f.waived
+        }
         return {"version": 1, "violations": sorted(keys)}
 
     # -- serialization --------------------------------------------------
 
     def to_dict(self, include_signatures: bool = False) -> Dict:
+        listed = list(self.rulesets)
+        if len(self.rulesets) == len(ALL_RULESETS):
+            listed.append(STALE_WAIVER)
         payload: Dict = {
             "rulesets": list(self.rulesets),
             "modules": self.n_modules,
@@ -150,57 +152,22 @@ class AnalysisReport:
             "suppressed": self.suppressed_count,
             "elapsed_seconds": self.elapsed_seconds,
             "errors": list(self.errors),
-            "findings": {},
+            "findings": {
+                name: [
+                    {key: getattr(f, attr) for key, attr in _JSON_FIELDS[name]}
+                    for f in self.of(name)
+                ]
+                for name in listed
+            },
         }
-        if "lint" in self.rulesets:
-            payload["findings"]["lint"] = [
-                {
-                    "rule": f.rule,
-                    "path": f.path,
-                    "line": f.line,
-                    "col": f.col,
-                    "message": f.message,
-                    "waived": f.waived,
-                }
-                for f in self.lint
-            ]
-        if self.flow is not None:
-            flow_payload = self.flow.to_dict(
-                include_signatures=include_signatures
-            )
-            payload["findings"]["flow"] = flow_payload.pop("violations")
-            payload["flow"] = flow_payload
-        for name, findings in (
-            ("taint", self.taint),
-            ("lifetime", self.lifetime),
-        ):
-            if name not in self.rulesets:
-                continue
-            payload["findings"][name] = [
-                {
-                    "rule": f.rule,
-                    "key": f.key,
-                    "function": f.function,
-                    "module": f.module,
-                    "path": f.path,
-                    "line": f.line,
-                    "message": f.message,
-                    "chain": list(f.chain),
-                    "waived": f.waived,
-                    "baselined": f.baselined,
-                }
-                for f in findings
-            ]
-        if len(self.rulesets) == len(ALL_RULESETS):
-            payload["findings"]["stale-waiver"] = [
-                {
-                    "comment_kind": w.comment_kind,
-                    "path": w.path,
-                    "line": w.line,
-                    "rule": w.rule,
-                }
-                for w in self.stale_waivers
-            ]
+        if "flow" in self.rulesets:
+            payload["flow"] = {
+                "modules": self.n_modules,
+                "functions": self.n_functions,
+                "errors": list(self.errors),
+            }
+            if include_signatures:
+                payload["flow"]["signatures"] = self.signatures
         return payload
 
     def to_json(self, include_signatures: bool = False) -> str:
@@ -214,104 +181,75 @@ class AnalysisReport:
             f"functions across {self.n_modules} modules "
             f"({self.elapsed_seconds:.2f}s)"
         ]
-        blocking_lint = [f for f in self.lint if not f.waived]
-        for finding in blocking_lint:
-            lines.append(finding.format())
-        if self.flow is not None:
-            for package in sorted(self.flow.coverage):
-                stats = self.flow.coverage[package]
-                lines.append(
-                    f"  {package}: {stats['signed']}/{stats['functions']} "
-                    f"functions signed"
-                )
-            for violation in self.flow.blocking:
-                lines.append(violation.format())
-        for finding in self.taint:
-            if not finding.waived and not finding.baselined:
-                lines.append(finding.format())
-        for finding in self.lifetime:
-            if not finding.waived and not finding.baselined:
-                lines.append(finding.format())
-        for waiver in self.stale_waivers:
-            lines.append(waiver.format())
+        lines.extend(f.format() for f in self.blocking)
         if self.suppressed_count:
             lines.append(
                 f"  {self.suppressed_count} finding(s) waived or baselined"
             )
         if not self.blocking_count:
             lines.append("  no new findings")
-        for error in self.errors:
-            lines.append(f"  parse error: {error}")
+        lines.extend(f"  error: {error}" for error in self.errors)
         return "\n".join(lines)
 
 
-def _expand_files(paths: Sequence) -> List[Path]:
-    out: Set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            out.update(path.rglob("*.py"))
-        else:
-            out.add(path)
-    return sorted(out)
-
-
-def _apply_flow_waivers(findings, graph, waiver_cache, used, baseline) -> None:
-    """Mark waived/baselined on taint/lifetime-shaped findings."""
+def _apply_waivers(
+    findings: Sequence[Finding], graph: CodeGraph, used: Used
+) -> None:
+    """Mark each finding waived when a matching comment covers it, and
+    record every matching comment's position in ``used``."""
     for finding in findings:
-        finding.waived = finding_is_waived(
-            finding.rule,
-            finding.path,
-            finding.line,
-            finding.function,
-            graph,
-            waiver_cache,
-            used,
-        )
-        if baseline and finding.key in baseline:
-            finding.baselined = True
+        module = graph.modules.get(finding.module or "")
+        if module is None:
+            continue
+        lines = {finding.line, finding.line - 1}
+        if finding.ruleset == "lint":
+            table = module.waivers["lint"]
+        else:
+            table = module.waivers["flow"]
+            anchor = graph.functions.get(finding.function or "")
+            if anchor is not None:
+                lines.update({anchor.line, anchor.line - 1})
+        accepted = {finding.rule, "*"}
+        for line in lines:
+            matched = table.get(line, set()) & accepted
+            for name in matched:
+                used.add((module.path, line, name))
+            finding.waived = finding.waived or bool(matched)
 
 
-def _find_stale_waivers(
-    files: Sequence[Path],
-    used_lint: Set[Tuple[str, int, str]],
-    used_flow: Set[Tuple[str, int, str]],
-) -> List[StaleWaiver]:
-    """Inventory every waiver comment; report the ones never used.
+def _stale_waivers(graph: CodeGraph, used: Used) -> List[Finding]:
+    """Every waiver comment in the graph whose position ``used`` lacks.
 
     Only meaningful when every ruleset ran — a lifetime waiver looks
     unused to a lint-only run — so :func:`run_analysis` gates the call.
-
-    Usage positions are compared on resolved paths: lint findings carry
-    the invocation-relative path while flow/lifetime findings carry the
-    graph's absolute path, and a waiver must not look stale just
-    because ``analyze`` was launched from a different directory.
     """
-
-    def _norm(used: Set[Tuple[str, int, str]]) -> Set[Tuple[str, int, str]]:
-        return {
-            (str(Path(p).resolve()), line, name) for p, line, name in used
-        }
-
-    lint_keys = _norm(used_lint)
-    flow_keys = _norm(used_flow)
-    stale: List[StaleWaiver] = []
-    for path in files:
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-        spath = str(path)
-        resolved = str(path.resolve())
-        for line, names in collect_lint_waivers(source).items():
-            for name in sorted(names):
-                if (resolved, line, name) not in lint_keys:
-                    stale.append(StaleWaiver("lint", spath, line, name))
-        for line, names in collect_waivers(spath, source=source).items():
-            for name in sorted(names):
-                if (resolved, line, name) not in flow_keys:
-                    stale.append(StaleWaiver("flow", spath, line, name))
-    stale.sort(key=lambda w: (w.path, w.line, w.rule))
+    stale: List[Finding] = []
+    for module in graph.modules.values():
+        for kind, table in module.waivers.items():
+            for line, names in table.items():
+                for name in sorted(names):
+                    if (module.path, line, name) in used:
+                        continue
+                    marker = (
+                        f"# lint: {name}"
+                        if kind == "lint"
+                        else f"# flow: waiver({name})"
+                    )
+                    stale.append(
+                        Finding(
+                            ruleset=STALE_WAIVER,
+                            rule=name,
+                            path=module.path,
+                            line=line,
+                            message=(
+                                f"'{marker}' suppresses nothing; delete it "
+                                f"or fix the rule name"
+                            ),
+                            module=module.name,
+                            kind=kind,
+                        )
+                    )
+    stale.sort(key=lambda f: (f.path, f.line, f.rule))
     return stale
 
 
@@ -333,7 +271,6 @@ def run_analysis(
     rulesets = tuple(r for r in ALL_RULESETS if r in set(rulesets))
     if not rulesets:
         raise ValueError("no known rulesets requested")
-    config = config or FlowConfig()
     if graph is None:
         graph = build_graph(paths)
     report = AnalysisReport(
@@ -342,66 +279,50 @@ def run_analysis(
         n_functions=len(graph.functions),
         errors=list(graph.errors),
     )
-    used_lint: Set[Tuple[str, int, str]] = set()
-    used_flow: Set[Tuple[str, int, str]] = set()
-    waiver_cache: Dict[str, Dict[int, Set[str]]] = {}
+    findings: List[Finding] = []
 
     if "lint" in rulesets:
-        report.lint = default_linter().lint(
-            paths, include_waived=True, used_waivers=used_lint
-        )
+        findings.extend(check_lint(graph))
 
-    analysis: Optional[FlowAnalysis] = None
     if "flow" in rulesets or "lifetime" in rulesets:
         analysis = FlowAnalysis(graph, config).run()
-
-    if "flow" in rulesets and analysis is not None:
-        violations = analysis.check_contracts()
-        for violation in violations:
-            violation.waived = finding_is_waived(
-                violation.rule,
-                violation.path,
-                violation.line,
-                violation.function,
-                graph,
-                waiver_cache,
-                used_flow,
+        if not analysis.converged:
+            report.errors.append(
+                "flow: effect signatures did not converge within the "
+                "iteration bound"
             )
-            if baseline and violation.key in baseline:
-                violation.baselined = True
-        report.flow = FlowReport(
-            n_modules=len(graph.modules),
-            n_functions=len(graph.functions),
-            coverage=_coverage(graph, analysis.signatures, config),
-            signatures={
+        if "flow" in rulesets:
+            findings.extend(analysis.check_contracts())
+            report.signatures = {
                 key: sorted(atoms)
                 for key, atoms in analysis.signatures.items()
-            },
-            violations=violations,
-            errors=list(graph.errors),
-        )
+            }
 
     if "taint" in rulesets:
-        report.taint = check_taint(graph)
-        _apply_flow_waivers(
-            report.taint, graph, waiver_cache, used_flow, baseline
-        )
+        checker = TaintChecker(graph)
+        findings.extend(checker.run())
+        if not checker.converged:
+            report.errors.append(
+                "taint: summaries did not converge within the iteration "
+                "bound"
+            )
 
-    if "lifetime" in rulesets and analysis is not None:
+    if "lifetime" in rulesets:
         raising = {
             key
             for key, sig in analysis.signatures.items()
             if "raises-storage" in sig
         }
-        report.lifetime = check_lifetime(graph, raising=raising)
-        _apply_flow_waivers(
-            report.lifetime, graph, waiver_cache, used_flow, baseline
-        )
+        findings.extend(check_lifetime(graph, raising=raising))
 
+    used: Used = set()
+    _apply_waivers(findings, graph, used)
+    for finding in findings:
+        if baseline and finding.ruleset in BASELINED_RULESETS:
+            finding.baselined = finding.key in baseline
     if set(rulesets) == set(ALL_RULESETS):
-        report.stale_waivers = _find_stale_waivers(
-            _expand_files(paths), used_lint, used_flow
-        )
+        findings.extend(_stale_waivers(graph, used))
 
+    report.findings = findings
     report.elapsed_seconds = time.perf_counter() - started
     return report

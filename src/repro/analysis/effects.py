@@ -98,9 +98,8 @@ MASKING_HANDLER_NAMES = frozenset(
 
 # The nondeterminism taxonomy lives in repro.analysis.registry so the
 # nondet effect and the determinism-taint checker share one source of
-# truth (the time.sleep exclusion included).  Re-exported for
-# compatibility with existing imports.
-from .registry import NONDET_NAMES, NONDET_PREFIXES, nondet_kind
+# truth (the time.sleep exclusion included).
+from .registry import nondet_kind
 
 FILE_IO_NAMES = frozenset({"open", "io.open", "os.open"})
 FILE_IO_METHODS = frozenset(
@@ -154,16 +153,6 @@ class FunctionEffects:
     raise_lines: List[int] = field(default_factory=list)
     raise_indexes: List[int] = field(default_factory=list)
     nondet_names: Set[str] = field(default_factory=set)
-
-    def unguarded_mutations(self, kinds: Optional[Set[str]] = None) -> List[Mutation]:
-        out = []
-        for mut in self.mutations:
-            if mut.guarded:
-                continue
-            if kinds is not None and mut.kind not in kinds:
-                continue
-            out.append(mut)
-        return out
 
 
 def _chain_root(expr: ast.expr) -> Optional[ast.Name]:

@@ -14,8 +14,7 @@ contracts the ROADMAP's parallel/serving work depends on:
    pager access outside ``repro.storage`` is a violation wherever it
    syntactically occurs or wherever a receiver is *typed* as the pager,
    and file I/O reachable from a worker entry point is a violation with
-   a call-chain witness.  This supersedes the old syntactic
-   ``pager-access`` lint rule; waive with ``# flow:
+   a call-chain witness.  Waive with ``# flow:
    waiver(io-through-pool)``.
 3. **exception-safety** — on the fault/quarantine path
    (``repro.core.engine`` / ``repro.core.degraded``) no shared-state
@@ -38,39 +37,27 @@ re-raise) drops ``raises-storage``; calling into ``repro.storage``
 drops ``raw-io``/``file-io`` (the storage layer is where raw I/O is
 supposed to live); calling a sanctioned writer drops ``shared-write``.
 
-Waivers and baseline
---------------------
+Propagation runs on :func:`repro.analysis.dataflow.solve_summaries`:
+a function's signature is its local atoms plus the masked atoms of its
+callees, and the first call site an atom arrives through is recorded as
+its source, from which :meth:`FlowAnalysis.chain` rebuilds witnesses.
 
-A finding is waived by ``# flow: waiver(<rule>)`` on the finding line,
-the line above, or the anchor function's ``def`` line.  A checked-in
-baseline file (JSON list of violation keys) lets CI ratchet: only *new*
-violations fail the build.
+Waivers (``# flow: waiver(<rule>)``) and the baseline ratchet are
+applied by :mod:`repro.analysis.driver`.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import io
-import json
-import tokenize
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import CodeGraph, FunctionInfo, build_graph
+from .callgraph import CodeGraph, FunctionInfo
+from .dataflow import solve_summaries
 from .effects import FunctionEffects, Mutation, extract_all_effects
+from .finding import Finding
 
-__all__ = [
-    "EFFECT_KINDS",
-    "FlowAnalysis",
-    "FlowConfig",
-    "FlowReport",
-    "Violation",
-    "analyze_paths",
-    "collect_waivers",
-    "finding_is_waived",
-    "load_baseline",
-]
+__all__ = ["EFFECT_KINDS", "FlowAnalysis", "FlowConfig"]
 
 EFFECT_KINDS = (
     "mutates-param",
@@ -84,8 +71,6 @@ EFFECT_KINDS = (
     "raises-storage",
     "nondet",
 )
-
-FLOW_RULES = ("worker-read-only", "io-through-pool", "exception-safety")
 
 _INIT_NAMES = frozenset({"__init__", "__post_init__", "__new__"})
 
@@ -144,12 +129,6 @@ class FlowConfig:
         "repro.serve.server",
         "repro.serve.breakers",
     )
-    coverage_packages: Tuple[str, ...] = (
-        "repro.core",
-        "repro.index",
-        "repro.storage",
-        "repro.serve",
-    )
 
     def is_shared_class(self, class_key: Optional[str]) -> bool:
         if class_key is None:
@@ -167,34 +146,6 @@ class FlowConfig:
         )
 
 
-@dataclass
-class Violation:
-    """One contract violation with its call-chain witness."""
-
-    rule: str
-    function: str  # anchor function (where the offending primitive is)
-    entry: Optional[str]  # contract entry point, for chain-based rules
-    module: str
-    path: str
-    line: int
-    message: str
-    chain: List[str] = field(default_factory=list)
-    waived: bool = False
-    baselined: bool = False
-
-    @property
-    def key(self) -> str:
-        anchor = self.entry if self.entry is not None else self.function
-        return f"{self.rule}::{anchor}::{self.function}"
-
-    def format(self) -> str:
-        header = f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-        if self.chain:
-            hops = "\n".join(f"    -> {hop}" for hop in self.chain)
-            return header + "\n" + hops
-        return header
-
-
 class FlowAnalysis:
     """Fixpoint effect propagation over a :class:`CodeGraph`."""
 
@@ -205,6 +156,7 @@ class FlowAnalysis:
         self.signatures: Dict[str, Set[str]] = {}
         # (function, atom) -> ("local", line) | ("call", callee, line)
         self.sources: Dict[Tuple[str, str], Tuple] = {}
+        self.converged = True
 
     # ------------------------------------------------------------------
     # fixpoint
@@ -212,12 +164,31 @@ class FlowAnalysis:
 
     def run(self) -> "FlowAnalysis":
         self.effects = extract_all_effects(self.graph)
+        callers: Dict[str, List[str]] = {}
         for key in self.graph.functions:
             self.signatures[key] = set()
         for key, eff in self.effects.items():
             self._seed_local_atoms(key, eff)
-        self._propagate()
+            for site in eff.calls:
+                if site.target.kind == "local" and site.target.key:
+                    callers.setdefault(site.target.key, []).append(key)
+        self.converged = solve_summaries(
+            self.signatures, self._evaluate, callers
+        )
         return self
+
+    def _evaluate(self, key: str) -> bool:
+        """Pull the masked atoms of ``key``'s callees into its signature."""
+        sig = self.signatures[key]
+        size = len(sig)
+        for site in self.effects[key].calls:
+            callee_key = site.target.key
+            if site.target.kind != "local" or not callee_key:
+                continue
+            for atom in sorted(self._masked_atoms(callee_key, site) - sig):
+                sig.add(atom)
+                self.sources[(key, atom)] = ("call", callee_key, site.line)
+        return len(sig) != size
 
     def _mutation_is_exempt(self, func: FunctionInfo, mut: Mutation) -> bool:
         if mut.kind == "self" and func.name in _INIT_NAMES:
@@ -310,34 +281,6 @@ class FlowAnalysis:
             out.add(atom)
         return out
 
-    def _propagate(self) -> None:
-        callers: Dict[str, List[Tuple[str, object]]] = {}
-        for key, eff in self.effects.items():
-            for site in eff.calls:
-                if site.target.kind == "local" and site.target.key:
-                    callers.setdefault(site.target.key, []).append((key, site))
-        worklist = sorted(self.signatures)
-        pending = set(worklist)
-        while worklist:
-            callee_key = worklist.pop()
-            pending.discard(callee_key)
-            for caller_key, site in callers.get(callee_key, []):
-                caller_sig = self.signatures[caller_key]
-                incoming = self._masked_atoms(callee_key, site)
-                new_atoms = incoming - caller_sig
-                if not new_atoms:
-                    continue
-                for atom in sorted(new_atoms):
-                    caller_sig.add(atom)
-                    self.sources[(caller_key, atom)] = (
-                        "call",
-                        callee_key,
-                        site.line,
-                    )
-                if caller_key not in pending:
-                    pending.add(caller_key)
-                    worklist.append(caller_key)
-
     # ------------------------------------------------------------------
     # witnesses
     # ------------------------------------------------------------------
@@ -379,8 +322,8 @@ class FlowAnalysis:
                 out.append(key)
         return out
 
-    def check_contracts(self) -> List[Violation]:
-        violations: List[Violation] = []
+    def check_contracts(self) -> List[Finding]:
+        violations: List[Finding] = []
         violations.extend(self._check_worker_read_only())
         violations.extend(self._check_io_through_pool())
         violations.extend(self._check_exception_safety())
@@ -393,7 +336,7 @@ class FlowAnalysis:
         func = self.graph.functions[entry]
         return entry, func.line
 
-    def _check_worker_read_only(self) -> List[Violation]:
+    def _check_worker_read_only(self) -> List[Finding]:
         out = []
         for entry in self.entry_points():
             if "shared-write" not in self.signatures.get(entry, set()):
@@ -401,7 +344,8 @@ class FlowAnalysis:
             anchor_key, line = self._anchor_of(entry, "shared-write")
             anchor = self.graph.functions[anchor_key]
             out.append(
-                Violation(
+                Finding(
+                    ruleset="flow",
                     rule="worker-read-only",
                     function=anchor_key,
                     entry=entry,
@@ -417,7 +361,7 @@ class FlowAnalysis:
             )
         return out
 
-    def _check_io_through_pool(self) -> List[Violation]:
+    def _check_io_through_pool(self) -> List[Finding]:
         out = []
         for key in sorted(self.graph.functions):
             func = self.graph.functions[key]
@@ -432,7 +376,8 @@ class FlowAnalysis:
                     continue
                 seen_lines.add(site.line)
                 out.append(
-                    Violation(
+                    Finding(
+                        ruleset="flow",
                         rule="io-through-pool",
                         function=key,
                         entry=None,
@@ -452,7 +397,8 @@ class FlowAnalysis:
             anchor_key, line = self._anchor_of(entry, "file-io")
             anchor = self.graph.functions[anchor_key]
             out.append(
-                Violation(
+                Finding(
+                    ruleset="flow",
                     rule="io-through-pool",
                     function=anchor_key,
                     entry=entry,
@@ -482,7 +428,7 @@ class FlowAnalysis:
             return mut
         return None
 
-    def _check_exception_safety(self) -> List[Violation]:
+    def _check_exception_safety(self) -> List[Finding]:
         out = []
         subject_modules = set(self.config.exception_safe_modules)
         for key in sorted(self.graph.functions):
@@ -536,7 +482,8 @@ class FlowAnalysis:
                     else []
                 )
                 out.append(
-                    Violation(
+                    Finding(
+                        ruleset="flow",
                         rule="exception-safety",
                         function=key,
                         entry=None,
@@ -554,233 +501,3 @@ class FlowAnalysis:
                 )
                 break  # one finding per function keeps the report readable
         return out
-
-
-# ----------------------------------------------------------------------
-# waivers
-# ----------------------------------------------------------------------
-
-
-def collect_waivers(path: str, source: Optional[str] = None) -> Dict[int, Set[str]]:
-    """Map line -> waived rule names for one file.
-
-    Recognises ``# flow: waiver(rule[, rule])``.  (The one-time
-    ``# lint: pager-access`` alias from the lint-era annotations was
-    retired once every site migrated to the flow form.)
-    """
-    if source is None:
-        try:
-            source = Path(path).read_text(encoding="utf-8")
-        except OSError:
-            return {}
-    waivers: Dict[int, Set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            text = token.string.lstrip("#").strip()
-            line = token.start[0]
-            if text.startswith("flow:"):
-                body = text[len("flow:") :].strip()
-                if body.startswith("waiver(") and body.endswith(")"):
-                    names = {
-                        n.strip() for n in body[len("waiver(") : -1].split(",")
-                    }
-                    waivers.setdefault(line, set()).update(n for n in names if n)
-    except tokenize.TokenError:
-        pass
-    return waivers
-
-
-def finding_is_waived(
-    rule: str,
-    path: str,
-    line: int,
-    function: Optional[str],
-    graph: Optional[CodeGraph],
-    waiver_cache: Dict[str, Dict[int, Set[str]]],
-    used: Optional[Set[Tuple[str, int, str]]] = None,
-) -> bool:
-    """Shared waiver predicate for flow/taint/lifetime findings.
-
-    A finding is waived by ``# flow: waiver(<rule>)`` (or ``waiver(*)``)
-    on the finding line, the line above, or the anchor function's
-    ``def`` line.  When ``used`` is given, every matching waiver's
-    ``(path, line, rule-name)`` position is recorded — the stale-waiver
-    detector reports inventory positions that never match anything.
-    """
-    if path not in waiver_cache:
-        waiver_cache[path] = collect_waivers(path)
-    waivers = waiver_cache[path]
-    lines = {line, line - 1}
-    anchor = graph.functions.get(function) if graph and function else None
-    if anchor is not None:
-        lines.update({anchor.line, anchor.line - 1})
-    accepted = {rule, "*"}
-    hit = False
-    for cand in lines:
-        matched = waivers.get(cand, set()) & accepted
-        if matched:
-            hit = True
-            if used is not None:
-                for name in matched:
-                    used.add((path, cand, name))
-    return hit
-
-
-def _violation_is_waived(
-    violation: Violation,
-    graph: CodeGraph,
-    waiver_cache: Dict[str, Dict[int, Set[str]]],
-    used: Optional[Set[Tuple[str, int, str]]] = None,
-) -> bool:
-    return finding_is_waived(
-        violation.rule,
-        violation.path,
-        violation.line,
-        violation.function,
-        graph,
-        waiver_cache,
-        used,
-    )
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-
-def load_baseline(path: str) -> Set[str]:
-    """Violation keys recorded in a baseline file (empty if absent)."""
-    baseline_path = Path(path)
-    if not baseline_path.exists():
-        return set()
-    payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-    return set(payload.get("violations", []))
-
-
-# ----------------------------------------------------------------------
-# report
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FlowReport:
-    """Machine-readable result of one analysis run."""
-
-    n_modules: int
-    n_functions: int
-    coverage: Dict[str, Dict[str, int]]
-    signatures: Dict[str, List[str]]
-    violations: List[Violation]
-    errors: List[str]
-
-    @property
-    def blocking(self) -> List[Violation]:
-        return [v for v in self.violations if not v.waived and not v.baselined]
-
-    def baseline_payload(self) -> Dict:
-        keys = sorted({v.key for v in self.violations if not v.waived})
-        return {"version": 1, "violations": keys}
-
-    def to_dict(self, include_signatures: bool = True) -> Dict:
-        payload: Dict = {
-            "modules": self.n_modules,
-            "functions": self.n_functions,
-            "coverage": self.coverage,
-            "violations": [
-                {
-                    "rule": v.rule,
-                    "key": v.key,
-                    "function": v.function,
-                    "entry": v.entry,
-                    "module": v.module,
-                    "path": v.path,
-                    "line": v.line,
-                    "message": v.message,
-                    "chain": v.chain,
-                    "waived": v.waived,
-                    "baselined": v.baselined,
-                }
-                for v in self.violations
-            ],
-            "errors": list(self.errors),
-        }
-        if include_signatures:
-            payload["signatures"] = self.signatures
-        return payload
-
-    def to_json(self, include_signatures: bool = True) -> str:
-        return json.dumps(self.to_dict(include_signatures), indent=2, sort_keys=True)
-
-    def format_text(self) -> str:
-        lines = [
-            f"flow: {self.n_functions} functions across "
-            f"{self.n_modules} modules"
-        ]
-        for package in sorted(self.coverage):
-            stats = self.coverage[package]
-            lines.append(
-                f"  {package}: {stats['signed']}/{stats['functions']} "
-                f"functions signed"
-            )
-        blocking = self.blocking
-        suppressed = len(self.violations) - len(blocking)
-        if suppressed:
-            lines.append(f"  {suppressed} finding(s) waived or baselined")
-        for violation in blocking:
-            lines.append(violation.format())
-        if not blocking:
-            lines.append("  no new contract violations")
-        for error in self.errors:
-            lines.append(f"  parse error: {error}")
-        return "\n".join(lines)
-
-
-def _coverage(graph: CodeGraph, signatures: Dict[str, Set[str]], config: FlowConfig):
-    coverage: Dict[str, Dict[str, int]] = {}
-    for package in config.coverage_packages:
-        total = 0
-        signed = 0
-        for key, func in graph.functions.items():
-            if func.module == package or func.module.startswith(package + "."):
-                total += 1
-                if key in signatures:
-                    signed += 1
-        coverage[package] = {"functions": total, "signed": signed}
-    return coverage
-
-
-def analyze_paths(
-    paths: Sequence,
-    config: Optional[FlowConfig] = None,
-    baseline: Optional[Set[str]] = None,
-    graph: Optional[CodeGraph] = None,
-) -> FlowReport:
-    """Run the full pipeline over ``paths`` and return a report.
-
-    Pass a prebuilt ``graph`` to share one :func:`build_graph` result
-    across the lint/flow/taint/lifetime layers (the unified driver
-    does); otherwise the graph is built here.
-    """
-    config = config or FlowConfig()
-    if graph is None:
-        graph = build_graph(paths)
-    analysis = FlowAnalysis(graph, config).run()
-    violations = analysis.check_contracts()
-    waiver_cache: Dict[str, Dict[int, Set[str]]] = {}
-    for violation in violations:
-        violation.waived = _violation_is_waived(violation, graph, waiver_cache)
-        if baseline and violation.key in baseline:
-            violation.baselined = True
-    return FlowReport(
-        n_modules=len(graph.modules),
-        n_functions=len(graph.functions),
-        coverage=_coverage(graph, analysis.signatures, config),
-        signatures={
-            key: sorted(atoms) for key, atoms in analysis.signatures.items()
-        },
-        violations=violations,
-        errors=list(graph.errors),
-    )

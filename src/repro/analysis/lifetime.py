@@ -44,18 +44,18 @@ manager and never reported as leaks.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from .callgraph import CodeGraph, FunctionInfo, dotted_name
-from .cfg import CFG, CFGNode, build_cfg
+from .callgraph import CodeGraph, FunctionInfo
+from .cfg import CFGNode, build_cfg
 from .dataflow import ForwardSolver
 from .effects import _ScopeModel
+from .finding import Finding
 
 __all__ = [
     "ResourceSpec",
     "RESOURCE_SPECS",
-    "LifetimeFinding",
     "LifetimeChecker",
     "check_lifetime",
 ]
@@ -163,34 +163,6 @@ class Res(NamedTuple):
 Env = Dict[str, Res]
 
 
-@dataclass
-class LifetimeFinding:
-    """One lifecycle violation."""
-
-    rule: str
-    function: str
-    module: str
-    path: str
-    line: int
-    resource: str  # spec name
-    var: str
-    message: str
-    chain: List[str] = field(default_factory=list)
-    waived: bool = False
-    baselined: bool = False
-
-    @property
-    def key(self) -> str:
-        return f"lifetime::{self.rule}::{self.function}::{self.resource}:{self.var}"
-
-    def format(self) -> str:
-        header = f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-        if self.chain:
-            hops = "\n".join(f"    -> {hop}" for hop in self.chain)
-            return header + "\n" + hops
-        return header
-
-
 def _join_env(a: Env, b: Env) -> Env:
     if not a:
         return b
@@ -223,9 +195,9 @@ class _FunctionPass:
         self.graph = checker.graph
         self.func = func
         self.scope = _ScopeModel(checker.graph, func)
-        self.findings: Dict[str, LifetimeFinding] = {}
+        self.findings: Dict[str, Finding] = {}
 
-    def run(self) -> List[LifetimeFinding]:
+    def run(self) -> List[Finding]:
         cfg = build_cfg(self.func.node, may_raise=self._may_raise)
         solver: ForwardSolver[Env] = ForwardSolver(
             cfg,
@@ -591,7 +563,8 @@ class _FunctionPass:
         message: str,
         exceptional: bool = False,
     ) -> None:
-        finding = LifetimeFinding(
+        finding = Finding(
+            ruleset="lifetime",
             rule=rule,
             function=self.func.key,
             module=self.func.module,
@@ -627,8 +600,8 @@ class LifetimeChecker:
             }
         self.raising = raising
 
-    def run(self) -> List[LifetimeFinding]:
-        findings: List[LifetimeFinding] = []
+    def run(self) -> List[Finding]:
+        findings: List[Finding] = []
         for key in sorted(self.graph.functions):
             findings.extend(
                 _FunctionPass(self, self.graph.functions[key]).run()
@@ -639,7 +612,7 @@ class LifetimeChecker:
 
 def check_lifetime(
     graph: CodeGraph, raising: Optional[Set[str]] = None
-) -> List[LifetimeFinding]:
+) -> List[Finding]:
     """Run the lifetime checker; ``raising`` is the set of function
     keys whose calls sprout exception edges (defaults to the flow
     analysis' ``raises-storage`` signatures)."""

@@ -1,12 +1,12 @@
 """Custom AST lint rules for the ``repro`` codebase.
 
-A small, dependency-free rule engine plus the repo-specific rules that
-guard the reproduction's correctness conventions.  Generic linters
-cannot know that ``lam == 0.0`` silently breaks the Eqn 6 early-stop
-bound, that a bare ``assert`` protecting a Theorem 1 precondition
-vanishes under ``python -O``, or that calling the :class:`Pager`
-directly bypasses the buffer pool and corrupts the paper's VII-A1 I/O
-counters — these rules do.
+A small, dependency-free rule set that guards the reproduction's
+correctness conventions.  Generic linters cannot know that
+``lam == 0.0`` silently breaks the Eqn 6 early-stop bound, or that a
+bare ``assert`` protecting a Theorem 1 precondition vanishes under
+``python -O`` — these rules do.  (Raw pager access, which corrupts the
+paper's VII-A1 I/O counters, is the call-graph-aware
+``io-through-pool`` contract of :mod:`repro.analysis.flow`.)
 
 Rules (names are what waiver comments reference):
 
@@ -19,11 +19,6 @@ Rules (names are what waiver comments reference):
     No ``assert`` statements anywhere under ``repro.*`` runtime code
     (stripped by ``python -O``); raise from :mod:`repro.errors`
     (``ensure`` / ``ensure_not_none``) instead.
-``pager-access``
-    No direct :class:`Pager` construction or method access outside
-    :mod:`repro.storage` — all page I/O flows through
-    :class:`~repro.storage.buffer_pool.BufferPool` so hit/miss
-    accounting stays honest.
 ``mutable-default``
     No mutable default argument values (lists, dicts, sets, comprehensions,
     ``Counter()``-style constructor calls).
@@ -34,141 +29,31 @@ Rules (names are what waiver comments reference):
     No ``print()`` in library code; only :mod:`repro.cli` and
     :mod:`repro.experiments.reporting` talk to stdout.
 
-**Waivers.**  A finding is suppressed when the offending line — or a
-comment-only line directly above it — carries ``# lint: <rule>`` (a
-comma-separated rule list, or ``# lint: *`` for all rules).  Waivers
-are deliberate, reviewable markers; the CI workflow fails on any
-unwaived finding.
+The rules check the trees :class:`~repro.analysis.callgraph.CodeGraph`
+already parsed, scoped by the graph's module names.  **Waivers.**  A
+finding is suppressed when the offending line — or a comment-only line
+directly above it — carries ``# lint: <rule>`` (a comma-separated rule
+list, or ``# lint: *`` for all rules); :mod:`repro.analysis.driver`
+applies them.  Waivers are deliberate, reviewable markers; the CI
+workflow fails on any unwaived finding.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import tokenize
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
-PathLike = Union[str, Path]
+from .callgraph import CodeGraph, ModuleInfo
+from .finding import Finding
 
-__all__ = [
-    "Finding",
-    "LintRule",
-    "ModuleSource",
-    "Linter",
-    "DEFAULT_RULES",
-    "default_linter",
-    "lint_paths",
-]
-
-WAIVE_ALL = "*"
-_WAIVER_PREFIX = "lint:"
+__all__ = ["LintRule", "DEFAULT_RULES", "check_lint"]
 
 
-@dataclass(frozen=True)
-class Finding:
-    """One rule violation at a specific source position."""
-
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    waived: bool = False
-
-    def format(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
-
-
-@dataclass
-class ModuleSource:
-    """A parsed module plus the metadata rules need to scope themselves."""
-
-    path: Path
-    module: Optional[str]  # dotted module, e.g. "repro.core.penalty"
-    tree: ast.Module
-    waivers: Dict[int, Set[str]] = field(default_factory=dict)
-
-    @classmethod
-    def parse(cls, path: Path) -> "ModuleSource":
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
-        return cls(
-            path=path,
-            module=_module_name(path),
-            tree=tree,
-            waivers=_collect_waivers(source),
-        )
-
-    def in_package(self, *prefixes: str) -> bool:
-        """True when the module lives under any of the dotted prefixes."""
-        if self.module is None:
-            return False
-        return any(
-            self.module == p or self.module.startswith(p + ".") for p in prefixes
-        )
-
-    def is_waived(
-        self,
-        rule: str,
-        line: int,
-        used: Optional[Set[Tuple[str, int, str]]] = None,
-    ) -> bool:
-        """Waived on the finding's line or a comment line directly above.
-
-        When ``used`` is given, every matching waiver's
-        ``(path, line, rule-name)`` position is recorded so the
-        stale-waiver detector can report comments that suppress
-        nothing.
-        """
-        hit = False
-        for candidate in (line, line - 1):
-            waived = self.waivers.get(candidate)
-            if waived is None:
-                continue
-            matched = waived & {rule, WAIVE_ALL}
-            if matched:
-                hit = True
-                if used is not None:
-                    for name in matched:
-                        used.add((str(self.path), candidate, name))
-        return hit
-
-
-def _module_name(path: Path) -> Optional[str]:
-    """Dotted module name, anchored at the ``repro`` package directory."""
-    parts = [p for p in path.resolve().parts]
-    try:
-        anchor = len(parts) - 1 - parts[::-1].index("repro")
-    except ValueError:
-        return None
-    dotted = parts[anchor:]
-    if dotted[-1].endswith(".py"):
-        dotted[-1] = dotted[-1][:-3]
-    if dotted[-1] == "__init__":
-        dotted = dotted[:-1]
-    return ".".join(dotted)
-
-
-def _collect_waivers(source: str) -> Dict[int, Set[str]]:
-    """Map line number -> waived rule names from ``# lint:`` comments."""
-    waivers: Dict[int, Set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            text = token.string.lstrip("#").strip()
-            if not text.startswith(_WAIVER_PREFIX):
-                continue
-            names = text[len(_WAIVER_PREFIX):].strip()
-            rules = {name.strip() for name in names.split(",") if name.strip()}
-            if rules:
-                waivers.setdefault(token.start[0], set()).update(rules)
-    except tokenize.TokenError:
-        pass  # unterminated strings etc.; the ast parse will have failed too
-    return waivers
+def _in_package(module: ModuleInfo, *prefixes: str) -> bool:
+    """True when the module lives under any of the dotted prefixes."""
+    return any(
+        module.name == p or module.name.startswith(p + ".") for p in prefixes
+    )
 
 
 class LintRule:
@@ -177,18 +62,18 @@ class LintRule:
     name: str = "abstract"
     description: str = ""
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self, module: ModuleSource, node: ast.AST, message: str
-    ) -> Finding:
+    def finding(self, module: ModuleInfo, node: ast.AST, message: str) -> Finding:
         return Finding(
+            ruleset="lint",
             rule=self.name,
-            path=str(module.path),
+            path=module.path,
             line=getattr(node, "lineno", 0),
             col=getattr(node, "col_offset", 0),
             message=message,
+            module=module.name,
         )
 
 
@@ -217,10 +102,10 @@ class FloatEqualityRule(LintRule):
     scopes = ("repro.model", "repro.core", "repro.index")
     exempt_modules = ("repro.model.numeric",)
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not _in_package(module, *self.scopes):
             return
-        if module.module in self.exempt_modules:
+        if module.name in self.exempt_modules:
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Compare):
@@ -253,8 +138,8 @@ class BareAssertRule(LintRule):
     description = "assert statement in runtime code (stripped by python -O)"
     scopes = ("repro",)
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not _in_package(module, *self.scopes):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Assert):
@@ -264,73 +149,6 @@ class BareAssertRule(LintRule):
                     "bare assert is stripped by 'python -O'; raise via "
                     "repro.errors.ensure/ensure_not_none instead",
                 )
-
-
-class PagerAccessRule(LintRule):
-    """All page I/O outside ``repro.storage`` must go through BufferPool.
-
-    .. deprecated::
-        Retired from :data:`DEFAULT_RULES` in favour of the call-graph
-        aware ``io-through-pool`` contract in
-        :mod:`repro.analysis.flow`, which sees through typed receivers
-        and helper indirection this syntactic rule cannot.  The class
-        stays importable for bespoke :class:`Linter` configurations;
-        waive the flow contract with ``# flow:
-        waiver(io-through-pool)`` (the transitional ``# lint:
-        pager-access`` alias is gone).
-
-    Flags (outside :mod:`repro.storage`):
-
-    * ``Pager(...)`` construction — use ``BufferPool.create(...)``;
-    * any attribute access *on* a ``pager`` object (``self.pager.read``,
-      ``tree.pager.allocate``, ``pager.free`` …) — use the pool's
-      ``fetch`` / ``allocate`` / ``update`` / ``free`` pass-throughs,
-      which keep the cache coherent and the hit/miss counters honest.
-
-    Handing the pager object itself to storage-layer helpers
-    (``PackedWriter(tree.buffer.pager)``) is allowed: passing a
-    reference is not I/O.
-    """
-
-    name = "pager-access"
-    description = "direct Pager construction/method access outside repro.storage"
-    scopes = ("repro",)
-    exempt = ("repro.storage",)
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
-            return
-        if module.in_package(*self.exempt):
-            return
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "Pager"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    "direct Pager construction; use BufferPool.create() so "
-                    "all I/O is pool-accounted",
-                )
-            elif isinstance(node, ast.Attribute) and self._is_pager_member(node):
-                yield self.finding(
-                    module,
-                    node,
-                    f"direct pager access '.pager.{node.attr}'; route page "
-                    "I/O through the BufferPool "
-                    "(fetch/allocate/update/free)",
-                )
-
-    @staticmethod
-    def _is_pager_member(node: ast.Attribute) -> bool:
-        value = node.value
-        if isinstance(value, ast.Attribute) and value.attr == "pager":
-            return True
-        if isinstance(value, ast.Name) and value.id == "pager":
-            return True
-        return False
 
 
 class MutableDefaultRule(LintRule):
@@ -350,8 +168,8 @@ class MutableDefaultRule(LintRule):
         "deque",
     }
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not _in_package(module, *self.scopes):
             return
         for node in ast.walk(module.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -393,13 +211,13 @@ class PublicAnnotationRule(LintRule):
     description = "missing type annotations on public repro.core/index/model API"
     scopes = ("repro.core", "repro.index", "repro.model")
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not _in_package(module, *self.scopes):
             return
         yield from self._check_body(module, module.tree.body)
 
     def _check_body(
-        self, module: ModuleSource, body: Sequence[ast.stmt]
+        self, module: ModuleInfo, body: Sequence[ast.stmt]
     ) -> Iterator[Finding]:
         for node in body:
             if isinstance(node, ast.ClassDef):
@@ -410,7 +228,7 @@ class PublicAnnotationRule(LintRule):
                 yield from self._check_function(module, node)
 
     def _check_function(
-        self, module: ModuleSource, node: ast.FunctionDef
+        self, module: ModuleInfo, node: ast.FunctionDef
     ) -> Iterator[Finding]:
         args = node.args
         params = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
@@ -445,10 +263,10 @@ class NoPrintRule(LintRule):
     scopes = ("repro",)
     exempt_modules = ("repro.cli", "repro.experiments.reporting")
 
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if not module.in_package(*self.scopes):
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if not _in_package(module, *self.scopes):
             return
-        if module.module in self.exempt_modules:
+        if module.name in self.exempt_modules:
             return
         for node in ast.walk(module.tree):
             if (
@@ -464,8 +282,6 @@ class NoPrintRule(LintRule):
                 )
 
 
-# PagerAccessRule is intentionally absent: the call-graph-aware
-# io-through-pool contract (repro.analysis.flow) replaced it.
 DEFAULT_RULES: Tuple[LintRule, ...] = (
     FloatEqualityRule(),
     BareAssertRule(),
@@ -475,88 +291,13 @@ DEFAULT_RULES: Tuple[LintRule, ...] = (
 )
 
 
-class Linter:
-    """Runs a rule set over files, applying per-line waivers."""
-
-    def __init__(self, rules: Optional[Sequence[LintRule]] = None) -> None:
-        self.rules: Tuple[LintRule, ...] = (
-            tuple(rules) if rules is not None else DEFAULT_RULES
-        )
-        names = [rule.name for rule in self.rules]
-        if len(names) != len(set(names)):
-            raise ValueError(f"duplicate rule names: {sorted(names)}")
-
-    def lint_file(
-        self,
-        path: Path,
-        include_waived: bool = False,
-        used_waivers: Optional[Set[Tuple[str, int, str]]] = None,
-    ) -> List[Finding]:
-        """Findings for one file.
-
-        Waived findings are dropped unless ``include_waived`` is set, in
-        which case they are returned with ``waived=True`` (the unified
-        ``analyze`` report shows them as suppressed rather than hiding
-        them).  ``used_waivers`` collects the waiver positions that
-        actually matched a finding — see :meth:`ModuleSource.is_waived`.
-        """
-        try:
-            module = ModuleSource.parse(path)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    rule="syntax",
-                    path=str(path),
-                    line=exc.lineno or 0,
-                    col=exc.offset or 0,
-                    message=f"file does not parse: {exc.msg}",
-                )
-            ]
-        findings: List[Finding] = []
-        for rule in self.rules:
-            for finding in rule.check(module):
-                waived = module.is_waived(
-                    rule.name, finding.line, used=used_waivers
-                )
-                if not waived:
-                    findings.append(finding)
-                elif include_waived:
-                    findings.append(replace(finding, waived=True))
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
-
-    def lint(
-        self,
-        paths: Iterable[PathLike],
-        include_waived: bool = False,
-        used_waivers: Optional[Set[Tuple[str, int, str]]] = None,
-    ) -> List[Finding]:
-        findings: List[Finding] = []
-        for path in sorted(set(self._expand(paths))):
-            findings.extend(
-                self.lint_file(
-                    path,
-                    include_waived=include_waived,
-                    used_waivers=used_waivers,
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _expand(paths: Iterable[PathLike]) -> Iterator[Path]:
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                yield from path.rglob("*.py")
-            else:
-                yield path
-
-
-def default_linter() -> Linter:
-    """A linter with the full repo rule set."""
-    return Linter(DEFAULT_RULES)
-
-
-def lint_paths(paths: Iterable[PathLike]) -> List[Finding]:
-    """Lint files/directories with the default rules; sorted findings."""
-    return default_linter().lint(paths)
+def check_lint(graph: CodeGraph) -> List[Finding]:
+    """Every default rule over every module of ``graph``; sorted."""
+    findings = [
+        finding
+        for module in graph.modules.values()
+        for rule in DEFAULT_RULES
+        for finding in rule.check(module)
+    ]
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings

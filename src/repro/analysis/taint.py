@@ -19,9 +19,10 @@ Mechanics: each function is solved intraprocedurally on its
 abstract state maps local names to sets of :class:`Taint` facts plus
 parameter markers.  Function *summaries* (return taint, param→return
 passthrough, param→sink flows) compose with the
-:mod:`repro.analysis.callgraph` resolution; a reverse-dependency
-worklist iterates the summaries to an interprocedural fixpoint, and
-each finding carries the call-chain witness from the sink back to the
+:mod:`repro.analysis.callgraph` resolution;
+:func:`repro.analysis.dataflow.solve_summaries` re-solves callers until
+no summary changes.  A function's findings come from its last solve,
+and each carries the call-chain witness from the sink back to the
 source expression.
 
 Deliberate precision bounds (documented, tested):
@@ -40,12 +41,12 @@ Deliberate precision bounds (documented, tested):
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .callgraph import CodeGraph, FunctionInfo, dotted_name
 from .cfg import CFG, CFGNode, build_cfg
-from .dataflow import ForwardSolver
+from .dataflow import ForwardSolver, solve_summaries
+from .finding import Finding
 from .registry import (
     FS_ORDER_METHODS,
     HASH_ID_NAMES,
@@ -60,7 +61,7 @@ from .registry import (
     sink_for_call,
 )
 
-__all__ = ["Taint", "TaintFinding", "TaintChecker", "check_taint"]
+__all__ = ["Taint", "TaintChecker", "check_taint"]
 
 TAINT_RULE = "taint-to-sink"
 
@@ -140,39 +141,10 @@ class ParamSink(NamedTuple):
 
 
 class Summary(NamedTuple):
-    """Interprocedural summary of one function."""
+    """Interprocedural summary of one function: what its callers see."""
 
     returns: Value = EMPTY
     param_sinks: FrozenSet[ParamSink] = frozenset()
-    callees: FrozenSet[str] = frozenset()
-
-
-@dataclass
-class TaintFinding:
-    """One unsanitized source→sink path."""
-
-    rule: str
-    function: str  # function containing the sink expression
-    module: str
-    path: str
-    line: int
-    kind: str
-    sink: str
-    message: str
-    chain: List[str] = field(default_factory=list)
-    waived: bool = False
-    baselined: bool = False
-
-    @property
-    def key(self) -> str:
-        return f"taint::{self.rule}::{self.function}::{self.sink}::{self.kind}"
-
-    def format(self) -> str:
-        header = f"{self.path}:{self.line}: [{self.rule}] {self.message}"
-        if self.chain:
-            hops = "\n".join(f"    -> {hop}" for hop in self.chain)
-            return header + "\n" + hops
-        return header
 
 
 def _param_names(func: FunctionInfo) -> List[str]:
@@ -192,22 +164,17 @@ def _param_names(func: FunctionInfo) -> List[str]:
 class _FunctionPass:
     """One intraprocedural solve of one function."""
 
-    def __init__(
-        self,
-        checker: "TaintChecker",
-        func: FunctionInfo,
-        collect: bool,
-    ) -> None:
+    def __init__(self, checker: "TaintChecker", func: FunctionInfo) -> None:
         self.checker = checker
         self.graph = checker.graph
         self.func = func
-        self.collect = collect
         self.params = _param_names(func)
-        self.param_index = {name: i for i, name in enumerate(self.params)}
         self.returns: Value = EMPTY
         self.return_structs: List[Tuple[Value, ...]] = []
         self.param_sinks: Set[ParamSink] = set()
         self.callees: Set[str] = set()
+        # Findings of this solve by key, the lowest line kept.
+        self.findings: Dict[str, Finding] = {}
 
     # -- summary access -------------------------------------------------
 
@@ -240,11 +207,7 @@ class _FunctionPass:
                 for i in range(width)
             )
             returns = returns._replace(elements=elements)
-        return Summary(
-            returns=returns,
-            param_sinks=frozenset(self.param_sinks),
-            callees=frozenset(self.callees),
-        )
+        return Summary(returns=returns, param_sinks=frozenset(self.param_sinks))
 
     @staticmethod
     def _join_env(a: Dict[str, Value], b: Dict[str, Value]) -> Dict[str, Value]:
@@ -604,16 +567,19 @@ class _FunctionPass:
         line: int,
         taint: Taint,
         extra_hops: Tuple[Tuple[str, int], ...] = (),
+        anchor: Optional[FunctionInfo] = None,
     ) -> None:
-        if not self.collect:
-            return
+        """Record a finding at ``line`` of ``anchor``, the function
+        holding the sink (this one unless a callee's param→sink flow
+        fired)."""
+        anchor = anchor or self.func
         where = spec.name if fname is None else f"{spec.name}.{fname}"
-        chain = self._render_chain(taint, extra_hops)
-        finding = TaintFinding(
+        finding = Finding(
+            ruleset="taint",
             rule=TAINT_RULE,
-            function=self.func.key,
-            module=self.func.module,
-            path=self.func.path,
+            function=anchor.key,
+            module=anchor.module,
+            path=anchor.path,
             line=line,
             kind=taint.kind,
             sink=where,
@@ -621,9 +587,9 @@ class _FunctionPass:
                 f"{taint.kind} value from {taint.desc} "
                 f"(line {taint.line}) reaches {where} unsanitized"
             ),
-            chain=chain,
+            chain=self._render_chain(taint, extra_hops),
         )
-        self.checker.add_finding(finding)
+        _keep_lowest_line(self.findings, finding)
 
     def _render_chain(
         self, taint: Taint, extra_hops: Tuple[Tuple[str, int], ...]
@@ -694,13 +660,13 @@ class _FunctionPass:
             for taint in sorted(value.taints):
                 if taint.kind in ps.exempt:
                     continue
-                sink_func = self.graph.functions.get(callee_key)
-                pass_hops = ((hop,) + ps.hops)[:_MAX_HOPS]
-                anchor = _FunctionPass(
-                    self.checker, sink_func or self.func, self.collect
-                )
-                anchor._record_finding(
-                    spec, ps.field, ps.line, taint, extra_hops=pass_hops
+                self._record_finding(
+                    spec,
+                    ps.field,
+                    ps.line,
+                    taint,
+                    extra_hops=((hop,) + ps.hops)[:_MAX_HOPS],
+                    anchor=callee,
                 )
             for param in sorted(value.params):
                 self.param_sinks.add(
@@ -730,15 +696,23 @@ def _join_all(values: Sequence[Value]) -> Value:
     return out
 
 
+def _keep_lowest_line(findings: Dict[str, Finding], finding: Finding) -> None:
+    existing = findings.get(finding.key)
+    if existing is None or finding.line < existing.line:
+        findings[finding.key] = finding
+
+
 class TaintChecker:
     """Interprocedural determinism-taint over a :class:`CodeGraph`."""
 
-    def __init__(self, graph: CodeGraph, max_rounds: int = 12) -> None:
+    def __init__(self, graph: CodeGraph) -> None:
         self.graph = graph
-        self.max_rounds = max_rounds
         self.summaries: Dict[str, Summary] = {}
+        self.converged = True
         self._cfgs: Dict[str, CFG] = {}
-        self._findings: Dict[str, TaintFinding] = {}
+        self._callers: Dict[str, Set[str]] = {}
+        # Each function's findings from its last solve.
+        self._findings: Dict[str, Dict[str, Finding]] = {}
 
     def cfg_for(self, func: FunctionInfo) -> CFG:
         cfg = self._cfgs.get(func.key)
@@ -747,44 +721,29 @@ class TaintChecker:
             self._cfgs[func.key] = cfg
         return cfg
 
-    def add_finding(self, finding: TaintFinding) -> None:
-        existing = self._findings.get(finding.key)
-        if existing is None or finding.line < existing.line:
-            self._findings[finding.key] = finding
+    def _solve(self, key: str) -> bool:
+        """Re-solve one function; whether its summary changed."""
+        solved = _FunctionPass(self, self.graph.functions[key])
+        summary = solved.run()
+        self._findings[key] = solved.findings
+        for callee in solved.callees:
+            self._callers.setdefault(callee, set()).add(key)
+        if summary == self.summaries.get(key, Summary()):
+            return False
+        self.summaries[key] = summary
+        return True
 
-    def run(self) -> List[TaintFinding]:
-        keys = sorted(self.graph.functions)
-        # Round 0 seeds summaries and the reverse dependency map.
-        callers: Dict[str, Set[str]] = {}
-        for key in keys:
-            summary = _FunctionPass(
-                self, self.graph.functions[key], collect=False
-            ).run()
-            self.summaries[key] = summary
-            for callee in summary.callees:
-                callers.setdefault(callee, set()).add(key)
-        # Fixpoint: re-solve callers of any function whose summary grew.
-        pending = set(keys)
-        rounds = 0
-        while pending and rounds < self.max_rounds:
-            rounds += 1
-            batch, pending = sorted(pending), set()
-            for key in batch:
-                summary = _FunctionPass(
-                    self, self.graph.functions[key], collect=False
-                ).run()
-                if summary != self.summaries[key]:
-                    self.summaries[key] = summary
-                    pending.update(callers.get(key, ()))
-        # Final collection pass with stable summaries.
-        self._findings.clear()
-        for key in keys:
-            _FunctionPass(self, self.graph.functions[key], collect=True).run()
-        return sorted(
-            self._findings.values(), key=lambda f: (f.path, f.line, f.key)
+    def run(self) -> List[Finding]:
+        self.converged = solve_summaries(
+            self.graph.functions, self._solve, self._callers
         )
+        merged: Dict[str, Finding] = {}
+        for key in sorted(self._findings):
+            for finding in self._findings[key].values():
+                _keep_lowest_line(merged, finding)
+        return sorted(merged.values(), key=lambda f: (f.path, f.line, f.key))
 
 
-def check_taint(graph: CodeGraph) -> List[TaintFinding]:
+def check_taint(graph: CodeGraph) -> List[Finding]:
     """Run the determinism-taint checker over a built graph."""
     return TaintChecker(graph).run()

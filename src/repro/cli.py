@@ -7,8 +7,7 @@ Subcommands::
     repro-whynot experiment fig4 [--scale smoke] [-o out.md]
     repro-whynot experiment all  [--scale default] [-o EXPERIMENTS_RESULTS.md]
     repro-whynot demo       [--size 2000 --seed 7]   # end-to-end example
-    repro-whynot lint       src/repro [...]          # repo-specific AST lint
-    repro-whynot analyze    [src/repro] [--json]     # flow / contract checker
+    repro-whynot analyze    [src/repro] [--all]      # static analysis (lint/flow/taint/lifetime)
     repro-whynot check-invariants [--size 10000]     # index/storage sanitizer
     repro-whynot chaos      [--seed 7 --queries 200] # fault-injection harness
     repro-whynot chaos --shards 4 --fault-shard 0    # per-shard containment
@@ -189,21 +188,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed == args.trials else 1
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the repo-specific AST lint rules; exit 1 on any finding."""
-    from .analysis import lint_paths
-
-    missing = [p for p in args.paths if not Path(p).exists()]
-    if missing:
-        print(f"no such path(s): {', '.join(missing)}")
-        return 2
-    findings = lint_paths(args.paths)
-    for finding in findings:
-        print(finding.format())
-    print(f"{len(findings)} finding(s)")
-    return 1 if findings else 0
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """Run the unified static-analysis driver.
 
@@ -211,7 +195,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     lifetime); ``--all`` runs every ruleset plus stale-waiver
     detection.  Exit codes: 0 = no new findings (waived and baselined
     findings are reported but do not fail), 1 = new findings, 2 = bad
-    usage / unparseable input.
+    usage, unparseable input, or a fixpoint that hit its iteration
+    bound (the report's ``errors``).
     """
     import json as json_module
 
@@ -251,7 +236,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(report.to_json(include_signatures=args.signatures))
     else:
         print(report.format_text())
-    return 1 if report.blocking_count or report.errors else 0
+    if report.errors:
+        return 2
+    return 1 if report.blocking_count else 0
 
 
 def _cmd_check_invariants(args: argparse.Namespace) -> int:
@@ -859,14 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_quality.add_argument("--scale", default="default", choices=sorted(SCALES))
     p_quality.set_defaults(func=_cmd_quality)
-
-    p_lint = sub.add_parser(
-        "lint", help="run the repo-specific AST lint rules"
-    )
-    p_lint.add_argument(
-        "paths", nargs="+", help="files or directories to lint (e.g. src/repro)"
-    )
-    p_lint.set_defaults(func=_cmd_lint)
 
     p_analyze = sub.add_parser(
         "analyze",

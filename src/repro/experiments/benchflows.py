@@ -609,9 +609,9 @@ def _build_substrate(rounds: int, full: bool) -> _BuildResult:
             rounds,
         )
         record = _latency_stats(durations)
-        # Deterministic shape counters (gated exactly, like I/O would
-        # be): a drifting function count means the analyzer silently
-        # started skipping or double-counting code.
+        # Shape counters, informational only: ``compare`` gates the
+        # ``io`` counters and the timings, not these, and they move
+        # with every change to src/repro itself.
         record["functions"] = reports[-1].n_functions
         record["modules"] = reports[-1].n_modules
         record["blocking"] = reports[-1].blocking_count

@@ -626,8 +626,9 @@ class RTreeBase:
         child entries as whole subtrees whose records stay untouched;
         a single-child root is collapsed.  Textual summaries cannot be
         decremented (unions and intersections are not invertible), so
-        every node on the deletion path recomputes its summary from its
-        members; a reinserted subtree's ancestors merge its stored
+        every node on the deletion path that survives recomputes its
+        summary from its members, once its parent has decided it does
+        not underflow; a reinserted subtree's ancestors merge its stored
         summary in.
 
         Deleting the last indexed object is refused — an empty R-tree
@@ -642,10 +643,14 @@ class RTreeBase:
                 "refusing to delete the last indexed object"
             )
         orphans: Deque[Tuple[int, Entry, Any]] = deque()
-        if not self._delete_rec(self.root_id, obj, orphans):
+        root = self._delete_rec(self.root_id, obj, orphans)
+        if root is None:
             raise IndexStructureError(f"object {obj.oid} is not indexed")
-        # Collapse a single-child branch root (tree shrinks).
-        root = self.buffer.fetch(self.root_id)
+        if root.is_leaf or len(root.entries) > 1:
+            self._refresh_node(root)
+        # Collapse a single-child branch root (tree shrinks).  The
+        # freed root is never refreshed; the child taking its place was
+        # refreshed by it if the delete passed through that child.
         while not root.is_leaf and len(root.entries) == 1:
             only = root.entries[0]
             self._free_node(root)
@@ -668,33 +673,39 @@ class RTreeBase:
         node_id: int,
         obj: SpatialObject,
         orphans: Deque[Tuple[int, Entry, Any]],
-    ) -> bool:
+    ) -> Optional[Node]:
+        """Remove ``obj``'s entry below ``node_id``; the changed node,
+        or ``None`` when ``obj`` is not below it.
+
+        The returned node is not yet refreshed: its parent first decides
+        whether it underflows, so a node that is condensed away is freed
+        without being rewritten.
+        """
         node = self.buffer.fetch(node_id)
         if node.is_leaf:
             for index, entry in enumerate(node.entries):
                 if entry.oid == obj.oid:
                     node.entries.pop(index)
-                    self._refresh_node(node)
-                    return True
-            return False
+                    return node
+            return None
         for index, child_entry in enumerate(node.entries):
             if not child_entry.rect.contains_point(obj.loc):
                 continue
-            if not self._delete_rec(child_entry.child_id, obj, orphans):
+            child_node = self._delete_rec(child_entry.child_id, obj, orphans)
+            if child_node is None:
                 continue
-            child_node = self.buffer.fetch(child_entry.child_id)
             if len(child_node.entries) < self.min_fill:
                 node.entries.pop(index)
                 self._orphan_entries(child_node, orphans)
             else:
+                self._refresh_node(child_node)
                 node.entries[index] = ChildEntry(
                     child_id=child_entry.child_id,
                     rect=child_node.rect,
                     aux_record=child_entry.aux_record,
                 )
-            self._refresh_node(node)
-            return True
-        return False
+            return node
+        return None
 
     def _orphan_entries(
         self, node: Node, orphans: Deque[Tuple[int, Entry, Any]]

@@ -11,8 +11,8 @@ entire pool are read through without being cached — they would
 otherwise evict everything for no benefit.
 
 The pool is also the **only sanctioned page-I/O surface outside this
-package**: the ``pager-access`` lint rule (:mod:`repro.analysis.lint`)
-forbids direct :class:`Pager` method calls elsewhere, so every read
+package**: the ``io-through-pool`` contract (:mod:`repro.analysis.flow`)
+forbids direct :class:`Pager` access elsewhere, so every read
 goes through :meth:`fetch` and every write through the
 :meth:`allocate` / :meth:`update` / :meth:`free` write-through methods
 (which keep the cache coherent by invalidating on mutation).  That

@@ -1,4 +1,5 @@
-"""Forward worklist solver: fixpoint, reachability, edge-state policy."""
+"""Forward worklist solver: fixpoint, reachability, edge-state policy;
+the interprocedural summary worklist: callers re-solve, the bound."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import ast
 import textwrap
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import ForwardSolver
+from repro.analysis import dataflow
+from repro.analysis.dataflow import ForwardSolver, solve_summaries
 
 
 def solve(source, transfer, may_raise=None, entry_state=None):
@@ -147,3 +149,56 @@ class TestSolver:
             entry_state=frozenset({"seed"}),
         )
         assert states[cfg.exit] == {"seed"}
+
+
+class TestSummaryWorklist:
+    """Summaries here are reachability sets: a function's own name plus
+    every summary of its callees."""
+
+    CALLS = {"a": ["b"], "b": ["c"], "c": ["b"], "d": []}
+
+    def solve(self, calls):
+        callers = {}
+        for caller, callees in calls.items():
+            for callee in callees:
+                callers.setdefault(callee, []).append(caller)
+        summaries = {key: {key} for key in calls}
+        order = []
+
+        def evaluate(key):
+            order.append(key)
+            before = set(summaries[key])
+            for callee in calls[key]:
+                summaries[key] |= summaries[callee]
+            return summaries[key] != before
+
+        converged = solve_summaries(calls, evaluate, callers)
+        return converged, summaries, order
+
+    def test_callers_reach_the_fixpoint_through_a_cycle(self):
+        converged, summaries, order = self.solve(self.CALLS)
+        assert converged
+        assert summaries == {
+            "a": {"a", "b", "c"},
+            "b": {"b", "c"},
+            "c": {"b", "c"},
+            "d": {"d"},
+        }
+        # Every key starts dirty and the last sorted key goes first; a
+        # re-dirtied caller goes on top of the stack.
+        assert order == ["d", "c", "b", "c", "a"]
+
+    def test_unchanged_summary_dirties_no_caller(self):
+        _, _, order = self.solve({"a": ["b"], "b": []})
+        assert order == ["b", "a"]
+
+    def test_bound_stops_a_solve_that_never_settles(self, monkeypatch):
+        monkeypatch.setattr(dataflow, "MAX_ROUNDS", 3)
+        evaluations = []
+
+        def evaluate(key):
+            evaluations.append(key)
+            return True
+
+        assert not solve_summaries(["a", "b"], evaluate, {"a": ["b"], "b": ["a"]})
+        assert len(evaluations) == 3 * 2

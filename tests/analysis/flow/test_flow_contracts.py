@@ -4,38 +4,41 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.flow import (
-    FlowConfig,
-    analyze_paths,
-    collect_waivers,
-    load_baseline,
-)
+from repro.analysis import FlowConfig, load_baseline, run_analysis
+from repro.analysis.callgraph import collect_waivers
 
 from .conftest import SEEDED_REGRESSION
 
 
+def run_flow(paths, config=None, baseline=None):
+    """The flow ruleset alone, as ``analyze --rules flow`` runs it."""
+    return run_analysis(
+        paths, rulesets=("flow",), config=config, baseline=baseline
+    )
+
+
 def rules_of(report):
-    return {violation.rule for violation in report.violations}
+    return {violation.rule for violation in report.findings}
 
 
 class TestSeededRegression:
     """The checked-in fixture must trip all three contracts."""
 
     def test_all_three_rules_fire(self):
-        report = analyze_paths([str(SEEDED_REGRESSION)])
+        report = run_flow([str(SEEDED_REGRESSION)])
         assert rules_of(report) == {
             "worker-read-only",
             "io-through-pool",
             "exception-safety",
         }
-        assert report.blocking == report.violations
+        assert report.blocking == report.findings
         assert not report.errors
 
     def test_worker_chain_witness(self):
-        report = analyze_paths([str(SEEDED_REGRESSION)])
+        report = run_flow([str(SEEDED_REGRESSION)])
         by_entry = {
             violation.entry: violation
-            for violation in report.violations
+            for violation in report.findings
             if violation.rule == "worker-read-only"
         }
         nested_worker = "repro.core.parallel.ParallelAdvanced._run_threads.worker"
@@ -51,10 +54,10 @@ class TestSeededRegression:
         )
 
     def test_exception_safety_names_both_lines(self):
-        report = analyze_paths([str(SEEDED_REGRESSION)])
+        report = run_flow([str(SEEDED_REGRESSION)])
         findings = [
             violation
-            for violation in report.violations
+            for violation in report.findings
             if violation.rule == "exception-safety"
         ]
         assert len(findings) == 1
@@ -64,11 +67,11 @@ class TestSeededRegression:
         assert "possibly-raising storage call" in finding.message
 
     def test_json_payload_roundtrips(self):
-        report = analyze_paths([str(SEEDED_REGRESSION)])
+        report = run_flow([str(SEEDED_REGRESSION)])
         payload = json.loads(report.to_json())
         assert payload["functions"] == report.n_functions
-        keys = {entry["key"] for entry in payload["violations"]}
-        assert keys == {violation.key for violation in report.violations}
+        keys = {entry["key"] for entry in payload["findings"]["flow"]}
+        assert keys == {violation.key for violation in report.findings}
 
 
 PAGER_FIXTURE = {
@@ -98,7 +101,7 @@ def with_search_body(body: str) -> dict:
 class TestWaivers:
     def test_unwaived_fixture_blocks(self, make_tree):
         tree = make_tree(PAGER_FIXTURE)
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert any(v.rule == "io-through-pool" for v in report.blocking)
 
     def test_waiver_on_offending_line(self, make_tree):
@@ -115,8 +118,8 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
-        assert all(v.waived for v in report.violations)
+        report = run_flow([str(tree)])
+        assert all(v.waived for v in report.findings)
         assert report.blocking == []
 
     def test_waiver_on_line_above(self, make_tree):
@@ -135,7 +138,7 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.blocking == []
 
     def test_waiver_on_def_line_covers_whole_function(self, make_tree):
@@ -152,8 +155,8 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
-        assert report.violations, "waived findings are still reported"
+        report = run_flow([str(tree)])
+        assert report.findings, "waived findings are still reported"
         assert report.blocking == []
 
     def test_star_waives_everything(self, make_tree):
@@ -170,7 +173,7 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.blocking == []
 
     def test_wrong_rule_does_not_waive(self, make_tree):
@@ -187,7 +190,7 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.blocking, "unrelated waiver must not clear io-through-pool"
 
     def test_legacy_lint_comment_is_retired(self, make_tree):
@@ -204,7 +207,7 @@ class TestWaivers:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.blocking, (
             "the one-time '# lint: pager-access' alias no longer waives "
             "io-through-pool; use '# flow: waiver(io-through-pool)'"
@@ -218,16 +221,17 @@ class TestWaivers:
                 "z = 3  # unrelated comment",
             ]
         )
-        waivers = collect_waivers("<mem>", source=source)
-        assert waivers[1] == {"io-through-pool", "worker-read-only"}
-        assert 2 not in waivers, "lint comments are not flow waivers"
-        assert 3 not in waivers
+        waivers = collect_waivers(source)
+        assert waivers["flow"] == {1: {"io-through-pool", "worker-read-only"}}
+        assert waivers["lint"] == {2: {"pager-access"}}, (
+            "lint comments are not flow waivers"
+        )
 
 
 class TestBaseline:
     def test_baselined_keys_stop_blocking(self, make_tree, tmp_path):
         tree = make_tree(PAGER_FIXTURE)
-        first = analyze_paths([str(tree)])
+        first = run_flow([str(tree)])
         assert first.blocking
 
         baseline_file = tmp_path / "flow-baseline.json"
@@ -235,15 +239,15 @@ class TestBaseline:
             json.dumps(first.baseline_payload()), encoding="utf-8"
         )
         baseline = load_baseline(str(baseline_file))
-        assert baseline == {v.key for v in first.violations}
+        assert baseline == {v.key for v in first.findings}
 
-        second = analyze_paths([str(tree)], baseline=baseline)
-        assert second.violations, "baselined findings remain visible"
+        second = run_flow([str(tree)], baseline=baseline)
+        assert second.findings, "baselined findings remain visible"
         assert second.blocking == []
 
     def test_new_violation_still_blocks(self, make_tree, tmp_path):
         tree = make_tree(PAGER_FIXTURE)
-        baseline = {v.key for v in analyze_paths([str(tree)]).violations}
+        baseline = {v.key for v in run_flow([str(tree)]).findings}
 
         # A new offender appears in another module: the ratchet catches it.
         extra = tree / "index" / "scan.py"
@@ -255,7 +259,7 @@ class TestBaseline:
             "    return Pager().read(1)\n",
             encoding="utf-8",
         )
-        report = analyze_paths([str(tree)], baseline=baseline)
+        report = run_flow([str(tree)], baseline=baseline)
         blocking = report.blocking
         assert blocking
         assert all("scan" in v.function for v in blocking)
@@ -277,7 +281,7 @@ class TestBaseline:
                 """
             )
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.baseline_payload() == {"version": 1, "violations": []}
 
 
@@ -304,7 +308,7 @@ class TestContractBoundaries:
                 """,
             }
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert report.blocking == []
 
     def test_mutation_after_raise_is_safe(self, make_tree):
@@ -326,9 +330,9 @@ class TestContractBoundaries:
                 """
             }
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert not any(
-            v.rule == "exception-safety" for v in report.violations
+            v.rule == "exception-safety" for v in report.findings
         )
 
     def test_storage_module_may_touch_pager(self, make_tree):
@@ -350,9 +354,9 @@ class TestContractBoundaries:
                 """,
             }
         )
-        report = analyze_paths([str(tree)])
+        report = run_flow([str(tree)])
         assert not any(
-            v.rule == "io-through-pool" for v in report.violations
+            v.rule == "io-through-pool" for v in report.findings
         )
 
     def test_entry_patterns_scope_worker_rule(self, make_tree):
@@ -368,5 +372,5 @@ class TestContractBoundaries:
             }
         )
         config = FlowConfig()
-        report = analyze_paths([str(tree)], config=config)
+        report = run_flow([str(tree)], config=config)
         assert report.blocking == []

@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.analysis.flow import analyze_paths, load_baseline
+import pytest
+
+from repro.analysis import load_baseline, run_analysis
 from repro.cli import main
 
 from .conftest import SEEDED_REGRESSION
@@ -16,22 +18,26 @@ SRC = REPO_ROOT / "src" / "repro"
 BASELINE = REPO_ROOT / "flow-baseline.json"
 
 
+@pytest.fixture(scope="module")
+def repo_flow():
+    return run_analysis(
+        [str(SRC)],
+        rulesets=("flow",),
+        baseline=load_baseline(str(BASELINE)),
+    )
+
+
 class TestRepoWide:
-    def test_no_blocking_violations(self):
-        report = analyze_paths([str(SRC)], baseline=load_baseline(str(BASELINE)))
-        assert not report.errors
-        assert report.blocking == [], "\n" + report.format_text()
+    def test_no_blocking_violations(self, repo_flow):
+        assert not repo_flow.errors
+        assert repo_flow.blocking == [], "\n" + repo_flow.format_text()
 
-    def test_every_function_has_a_signature(self):
-        report = analyze_paths([str(SRC)])
-        assert report.n_functions > 0
-        for package, stats in report.coverage.items():
-            assert stats["signed"] == stats["functions"], package
-        assert len(report.signatures) == report.n_functions
+    def test_every_function_has_a_signature(self, repo_flow):
+        assert repo_flow.n_functions > 0
+        assert len(repo_flow.signatures) == repo_flow.n_functions
 
-    def test_known_signatures(self):
-        report = analyze_paths([str(SRC)])
-        sigs = report.signatures
+    def test_known_signatures(self, repo_flow):
+        sigs = repo_flow.signatures
         # The sanctioned writer is lock-guarded: no shared-write escapes.
         record = sigs["repro.core.dominator_cache.DominatorCache.record_dominators"]
         assert "shared-write" not in record

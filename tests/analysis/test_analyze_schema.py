@@ -97,9 +97,9 @@ class TestPerRulesetSchema:
             "io-through-pool",
             "exception-safety",
         }
-        # The flow sidecar keeps coverage but not the violation list.
+        # The flow sidecar keeps the counts but not the violation list.
         assert "violations" not in seeded_payload["flow"]
-        assert "coverage" in seeded_payload["flow"]
+        assert seeded_payload["flow"]["functions"] == seeded_payload["functions"]
 
     def test_taint_findings(self, seeded_payload):
         findings = seeded_payload["findings"]["taint"]

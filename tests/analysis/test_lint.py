@@ -1,27 +1,31 @@
-"""Per-rule fixture tests for the repo-specific AST linter.
+"""Per-rule fixture tests for the repo-specific AST lint rules.
 
-Each test writes a small snippet under ``tmp_path/repro/...`` — module
-names are resolved by anchoring at the ``repro`` path component, so the
-fixtures land in the same rule scopes as real library code — and
-asserts exactly which rules fire.
+Each test writes a small snippet under ``tmp_path/repro/...`` with an
+``__init__.py`` in every package directory — module names anchor at
+the outermost package, exactly as for the shipped library, so the
+fixtures land in the same rule scopes — and asserts exactly which
+rules fire through ``run_analysis``, as ``analyze --rules lint`` runs it.
 """
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_paths
-from repro.analysis.lint import Linter, default_linter
+from repro.analysis import DEFAULT_RULES, run_analysis
+from repro.cli import main
+
+from .flow.conftest import write_package
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
+def lint_paths(paths):
+    """Unwaived lint findings, as ``analyze --rules lint`` reports them."""
+    return run_analysis(paths, rulesets=("lint",)).blocking
+
+
 def lint_snippet(tmp_path, relpath, source):
-    path = tmp_path / relpath
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return lint_paths([path])
+    return lint_paths([write_package(tmp_path, {relpath: source})])
 
 
 def rules_of(findings):
@@ -137,11 +141,10 @@ class TestBareAssert:
 
 class TestPagerAccessRetirement:
     """The syntactic rule was retired in favour of the call-graph-aware
-    io-through-pool contract (repro.analysis.flow); the class stays
-    importable for bespoke linter configurations."""
+    io-through-pool contract (repro.analysis.flow)."""
 
     def test_not_in_default_rules(self):
-        assert "pager-access" not in {r.name for r in default_linter().rules}
+        assert "pager-access" not in {r.name for r in DEFAULT_RULES}
 
     def test_default_lint_no_longer_flags_pager_access(self, tmp_path):
         findings = lint_snippet(
@@ -153,18 +156,6 @@ class TestPagerAccessRetirement:
             """,
         )
         assert findings == []
-
-    def test_rule_class_still_works_when_opted_in(self, tmp_path):
-        from repro.analysis.lint import PagerAccessRule
-
-        path = tmp_path / "repro" / "index" / "snippet.py"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            "def f(tree: object) -> object:\n    return tree.pager.read(0)\n",
-            encoding="utf-8",
-        )
-        findings = Linter([PagerAccessRule()]).lint([path])
-        assert rules_of(findings) == ["pager-access"]
 
 
 class TestMutableDefault:
@@ -285,30 +276,28 @@ class TestNoPrint:
 
 
 class TestEngine:
-    def test_syntax_error_becomes_a_finding(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "repro/core/broken.py", "def f(:\n    pass\n"
+    def test_syntax_error_becomes_a_report_error(self, tmp_path, capsys):
+        root = write_package(
+            tmp_path, {"repro/core/broken.py": "def f(:\n    pass\n"}
         )
-        assert rules_of(findings) == ["syntax"]
+        report = run_analysis([root], rulesets=("lint",))
+        (error,) = report.errors
+        assert "broken.py" in error
+        assert main(["analyze", "--rules", "lint", str(root)]) == 2
+        assert "error: " in capsys.readouterr().out
 
     def test_directory_expansion_and_sorting(self, tmp_path):
-        (tmp_path / "repro" / "core").mkdir(parents=True)
-        for name in ("b.py", "a.py"):
-            (tmp_path / "repro" / "core" / name).write_text(
-                "def f(x: float) -> bool:\n    return x == 0.5\n",
-                encoding="utf-8",
-            )
-        findings = lint_paths([tmp_path / "repro"])
+        source = "def f(x: float) -> bool:\n    return x == 0.5\n"
+        root = write_package(
+            tmp_path,
+            {"repro/core/b.py": source, "repro/core/a.py": source},
+        )
+        findings = lint_paths([root])
         assert [Path(f.path).name for f in findings] == ["a.py", "b.py"]
 
-    def test_duplicate_rule_names_rejected(self):
-        rule = default_linter().rules[0]
-        try:
-            Linter([rule, rule])
-        except ValueError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("duplicate rule names must be rejected")
+    def test_default_rule_names_are_unique(self):
+        names = [rule.name for rule in DEFAULT_RULES]
+        assert len(names) == len(set(names))
 
     def test_finding_format_is_path_line_col_rule(self, tmp_path):
         findings = lint_snippet(

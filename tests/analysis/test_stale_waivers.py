@@ -28,8 +28,8 @@ class TestStaleDetection:
                 """
             },
         )
-        (stale,) = report.stale_waivers
-        assert stale.comment_kind == "lint"
+        (stale,) = report.of("stale-waiver")
+        assert stale.kind == "lint"
         assert stale.rule == "no-print"
         assert report.blocking_count == 1
         assert "suppresses nothing" in stale.format()
@@ -45,8 +45,8 @@ class TestStaleDetection:
                 """
             },
         )
-        (stale,) = report.stale_waivers
-        assert stale.comment_kind == "flow"
+        (stale,) = report.of("stale-waiver")
+        assert stale.kind == "flow"
         assert stale.rule == "worker-read-only"
 
     def test_live_lint_waiver_is_not_stale(self, tmp_path):
@@ -59,9 +59,9 @@ class TestStaleDetection:
                 """
             },
         )
-        assert report.stale_waivers == []
+        assert report.of("stale-waiver") == []
         assert report.blocking_count == 0
-        assert [f.rule for f in report.lint if f.waived] == ["no-print"]
+        assert [f.rule for f in report.of("lint") if f.waived] == ["no-print"]
 
     def test_live_taint_waiver_is_not_stale(self, tmp_path):
         report = analyze(
@@ -77,9 +77,9 @@ class TestStaleDetection:
                 """
             },
         )
-        assert report.stale_waivers == []
+        assert report.of("stale-waiver") == []
         assert report.blocking_count == 0
-        assert [f.waived for f in report.taint] == [True]
+        assert [f.waived for f in report.of("taint")] == [True]
 
     def test_misspelled_rule_name_is_stale_even_next_to_finding(
         self, tmp_path
@@ -99,9 +99,9 @@ class TestStaleDetection:
                 """
             },
         )
-        assert len(report.stale_waivers) == 1
-        assert report.stale_waivers[0].rule == "taint-to-skin"
-        assert [f.waived for f in report.taint] == [False]
+        assert len(report.of("stale-waiver")) == 1
+        assert report.of("stale-waiver")[0].rule == "taint-to-skin"
+        assert [f.waived for f in report.of("taint")] == [False]
         assert report.blocking_count == 2
 
 
@@ -116,7 +116,7 @@ class TestGating:
         }
         for rulesets in (("lint",), ("flow",), ("taint", "lifetime")):
             report = analyze(tmp_path / "-".join(rulesets), files, rulesets)
-            assert report.stale_waivers == [], rulesets
+            assert report.of("stale-waiver") == [], rulesets
 
     def test_wildcard_waiver_counts_as_used_when_it_suppresses(
         self, tmp_path
@@ -130,5 +130,5 @@ class TestGating:
                 """
             },
         )
-        assert report.stale_waivers == []
+        assert report.of("stale-waiver") == []
         assert report.blocking_count == 0

@@ -222,6 +222,38 @@ class TestCondenseTree:
         tree.validate()
 
     @pytest.mark.parametrize("tree_cls", [SetRTree, KcRTree])
+    def test_condensed_records_are_freed_not_rewritten(self, tree_cls):
+        # The second delete condenses a branch node and collapses the
+        # root (reinsertion then grows a new one): both are freed, so
+        # neither may be refreshed first.
+        full, _ = make_euro_like(600, seed=7)
+        dataset = Dataset(list(full.objects), diagonal=full.diagonal)
+        tree = tree_cls(dataset, capacity=8)
+        first, second = dataset.objects[0], dataset.objects[1]
+        tree.delete(first)
+        dataset.remove(first.oid)
+        updated, freed = [], []
+        buffer_update, buffer_free = tree.buffer.update, tree.buffer.free
+
+        def update(record_id, *args, **kwargs):
+            updated.append(record_id)
+            return buffer_update(record_id, *args, **kwargs)
+
+        def free(record_id):
+            freed.append(record_id)
+            return buffer_free(record_id)
+
+        tree.buffer.update, tree.buffer.free = update, free
+        root_id = tree.root_id
+        tree.delete(second)
+        dataset.remove(second.oid)
+        assert root_id in freed, "the second delete collapses the root"
+        assert len(freed) == 4, "and condenses one branch node"
+        assert set(updated).isdisjoint(freed)
+        assert check_tree(tree).ok
+        tree.validate()
+
+    @pytest.mark.parametrize("tree_cls", [SetRTree, KcRTree])
     def test_root_collapse_dissolves_orphaned_node(self, tree_cls):
         # The root has two children: one over four leaves, the other
         # over a single leaf.  Emptying the first condenses it while the
