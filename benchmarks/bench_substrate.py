@@ -6,9 +6,8 @@ figures aggregate, so a regression here localises a regression there.
 
 The ``substrate`` emitter of :mod:`repro.experiments.benchflows`
 (``repro-whynot bench --emit --figures substrate``) writes the same
-units to ``BENCH_substrate.json`` with seeded p50/p99 latencies,
-buffer-pool I/O counters, and the static analyzer's own runtime over
-``src/repro`` — all under the CI bench gate.
+units to ``BENCH_substrate.json`` with seeded p50/p99 latencies and
+buffer-pool I/O counters, both under the CI bench gate.
 """
 
 import pytest

@@ -7,27 +7,28 @@ on float-equality edge cases.  This package guards both sides:
 
 * :mod:`repro.analysis.callgraph` — the one front end: it parses and
   tokenizes every file once, keeps each module's waiver comments, and
-  builds the whole-package call graph every layer below reads.
+  builds the whole-package call graph every layer below reads, with
+  each function's name scope and CFG built once on first use.
 * :mod:`repro.analysis.lint` — repo-specific syntactic rules
   (float-literal equality, bare asserts, mutable defaults, missing
   public annotations, stray ``print``) over the graph's parsed trees.
 * :mod:`repro.analysis.flow` — interprocedural effect inference (local
-  effects in :mod:`repro.analysis.effects`) enforcing the three
-  concurrency contracts: worker-read-only, io-through-pool (raw pager
-  access outside the storage layer), and exception-safety on the
-  quarantine path.
+  effects read off the CFG nodes by :mod:`repro.analysis.effects`)
+  enforcing the three concurrency contracts: worker-read-only,
+  io-through-pool (raw pager access outside the storage layer), and
+  exception-safety on the quarantine path.
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` — the
-  per-function control-flow graphs (with exception edges), the forward
-  worklist solver the dataflow checkers run on, and the one
+  per-function control-flow graphs (each statement records its
+  exception target; a solve chooses which statements raise), the
+  forward worklist solver the dataflow checkers run on, and the one
   interprocedural worklist flow and taint both reach their fixpoints on.
 * :mod:`repro.analysis.taint` — determinism-taint: unsanitized
   nondeterminism (time / random / fs-order / set-iteration / hash-id,
   from the shared :mod:`repro.analysis.registry` taxonomy) reaching a
   result dataclass, checksummed persistence, or a bench emitter.
 * :mod:`repro.analysis.lifetime` — resource acquire/release automata:
-  spill files, shard pipes/workers, locks, and the shard quarantine
-  lifecycle (leak-on-exception-edge, double-release,
-  use-after-quarantine).
+  spill files, shard pipes/workers, and the shard quarantine lifecycle
+  (leak-on-exception-edge, double-release, use-after-quarantine).
 * :mod:`repro.analysis.driver` — the ``analyze`` runner composing all
   of the above over one parsed call graph, with waiver, stale-waiver,
   and baseline-ratchet semantics; every layer reports the one

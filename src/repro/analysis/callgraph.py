@@ -34,7 +34,10 @@ parsed once and tokenized at most once, and its waiver comments are
 kept on its :class:`ModuleInfo` — ``# lint: <rule>[, <rule>]`` for the
 lint rules and ``# flow: waiver(<rule>[, <rule>])`` for the flow, taint
 and lifetime rules.  Tokenizing waits for the first waiver lookup, so
-a run whose findings never consult a module's waivers skips it.
+a run whose findings never consult a module's waivers skips it.  Each
+function's name scope (:meth:`CodeGraph.scope`) and control-flow graph
+(:meth:`CodeGraph.cfg`) are likewise built once, on first use, and
+shared by every layer.
 """
 
 from __future__ import annotations
@@ -45,7 +48,10 @@ import tokenize
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Union
+
+if TYPE_CHECKING:
+    from .cfg import CFG
 
 __all__ = [
     "CallTarget",
@@ -53,6 +59,7 @@ __all__ = [
     "CodeGraph",
     "FunctionInfo",
     "ModuleInfo",
+    "Scope",
     "build_graph",
     "collect_waivers",
     "iter_python_files",
@@ -108,6 +115,68 @@ def dotted_name(node: ast.AST) -> Optional[str]:
             return None
         return base + "." + node.attr
     return None
+
+
+def _arg_names(node: ast.AST) -> List[str]:
+    """Every parameter of a def or lambda, in signature order."""
+    args = getattr(node, "args", None)
+    if not isinstance(args, ast.arguments):
+        return []
+    named = list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
+    extra = [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+    return [arg.arg for arg in named + extra]
+
+
+def _bound_names(node: ast.AST) -> Set[str]:
+    """Names bound inside ``node`` — by assignment, ``for``, ``with``,
+    ``except``, import, ``def``/``class``, or as a lambda parameter —
+    not descending into nested function or class bodies."""
+    bound: Set[str] = set()
+
+    def visit(current: ast.AST) -> None:
+        for child in ast.iter_child_nodes(current):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                bound.add(child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                bound.add(child.id)
+            elif isinstance(child, ast.ExceptHandler) and child.name:
+                bound.add(child.name)
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                for alias in child.names:
+                    bound.add((alias.asname or alias.name).split(".")[0])
+            elif isinstance(child, ast.Lambda):
+                bound.update(_arg_names(child))
+            visit(child)
+
+    visit(node)
+    return bound
+
+
+class Scope:
+    """Where each name of one function lives: ``self``, ``param``,
+    ``local``, ``closure`` (an enclosing function's), or ``global``."""
+
+    def __init__(self, func: "FunctionInfo", enclosing: Sequence["FunctionInfo"]) -> None:
+        declared: Dict[type, Set[str]] = {ast.Global: set(), ast.Nonlocal: set()}
+        for child in ast.walk(func.node):
+            if isinstance(child, (ast.Global, ast.Nonlocal)):
+                declared[type(child)].update(child.names)
+        # Later updates take precedence over earlier ones.
+        self.kinds: Dict[str, str] = {}
+        for outer in enclosing:
+            self.kinds.update(dict.fromkeys(outer.params, "closure"))
+            self.kinds.update(dict.fromkeys(_bound_names(outer.node), "closure"))
+        self.kinds.update(dict.fromkeys(_bound_names(func.node), "local"))
+        self.kinds.update(dict.fromkeys(func.params, "param"))
+        self.kinds.update(dict.fromkeys(declared[ast.Nonlocal], "closure"))
+        self.kinds.update(dict.fromkeys(declared[ast.Global], "global"))
+        self.kinds.update(self="self", cls="self")
+
+    def classify(self, name: str) -> str:
+        return self.kinds.get(name, "global")
 
 
 Waivers = Dict[int, Set[str]]
@@ -188,6 +257,11 @@ class FunctionInfo:
     def line(self) -> int:
         return getattr(self.node, "lineno", 1)
 
+    @cached_property
+    def params(self) -> List[str]:
+        """Parameter names in signature order."""
+        return _arg_names(self.node)
+
 
 @dataclass
 class CallTarget:
@@ -214,6 +288,30 @@ class CodeGraph:
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.errors: List[str] = []
+        self._scopes: Dict[str, Scope] = {}
+        self._cfgs: Dict[str, "CFG"] = {}
+
+    def scope(self, key: str) -> Scope:
+        """The name scope of function ``key``, built once."""
+        scope = self._scopes.get(key)
+        if scope is None:
+            func = self.functions[key]
+            enclosing: List[FunctionInfo] = []
+            parent = func.parent
+            while parent is not None and parent in self.functions:
+                enclosing.append(self.functions[parent])
+                parent = self.functions[parent].parent
+            scope = self._scopes[key] = Scope(func, enclosing)
+        return scope
+
+    def cfg(self, key: str) -> "CFG":
+        """The control-flow graph of function ``key``, built once."""
+        cfg = self._cfgs.get(key)
+        if cfg is None:
+            from .cfg import build_cfg  # cfg.py imports this module
+
+            cfg = self._cfgs[key] = build_cfg(self.functions[key].node)
+        return cfg
 
     # ------------------------------------------------------------------
     # construction
@@ -437,8 +535,6 @@ class CodeGraph:
             resolved = self.annotation_to_class(module, arg.annotation)
             if resolved is not None:
                 func.param_types[arg.arg] = resolved
-        if args and args[0].arg in ("self", "cls") and func.class_key is not None:
-            func.param_types.setdefault(args[0].arg, func.class_key)
 
     def _value_class(self, module: ModuleInfo, value: ast.expr) -> Optional[str]:
         """Class key for the value of an assignment, best effort."""
@@ -565,16 +661,22 @@ class CodeGraph:
         if module is None:
             return None
         resolved = self.resolve_symbol(module, name)
-        if resolved is not None:
-            if resolved in self.functions:
-                return CallTarget(kind="local", key=resolved)
-            if resolved in self.classes:
-                init = self.lookup_method(resolved, "__init__")
-                if init is not None:
-                    return CallTarget(kind="local", key=init)
-                return CallTarget(kind="external", key=resolved)
-            return CallTarget(kind="external", key=resolved)
-        return None
+        return self._symbol_target(resolved) if resolved is not None else None
+
+    def _symbol_target(
+        self,
+        resolved: str,
+        receiver: Optional[ast.expr] = None,
+        attr: Optional[str] = None,
+    ) -> CallTarget:
+        """A graph function, a graph class's ``__init__``, or external."""
+        if resolved in self.functions:
+            return CallTarget(kind="local", key=resolved)
+        if resolved in self.classes:
+            init = self.lookup_method(resolved, "__init__")
+            if init is not None:
+                return CallTarget(kind="local", key=init)
+        return CallTarget(kind="external", key=resolved, receiver=receiver, attr=attr)
 
     def resolve_call(self, func: FunctionInfo, call: ast.Call) -> CallTarget:
         target = call.func
@@ -604,15 +706,7 @@ class CodeGraph:
             if dotted is not None and module is not None:
                 resolved = self.resolve_symbol(module, dotted)
                 if resolved is not None:
-                    if resolved in self.functions:
-                        return CallTarget(kind="local", key=resolved)
-                    if resolved in self.classes:
-                        init = self.lookup_method(resolved, "__init__")
-                        if init is not None:
-                            return CallTarget(kind="local", key=init)
-                    return CallTarget(
-                        kind="external", key=resolved, receiver=receiver, attr=method
-                    )
+                    return self._symbol_target(resolved, receiver, method)
             return CallTarget(
                 kind="external", key=dotted, receiver=receiver, attr=method
             )

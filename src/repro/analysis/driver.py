@@ -262,10 +262,11 @@ def run_analysis(
 ) -> AnalysisReport:
     """Run the requested rulesets over ``paths`` and combine reports.
 
-    One :func:`build_graph` parse feeds every layer; the flow layer's
-    ``raises-storage`` signatures seed the lifetime checker's
-    exception edges (computed here even when ``flow`` itself is not a
-    requested ruleset, because the lifetime automaton needs them).
+    One :func:`build_graph` parse, and one CFG per function, feed every
+    layer; the flow layer's ``raises-storage`` signatures choose the
+    lifetime checker's exception edges (computed here even when
+    ``flow`` itself is not a requested ruleset, because the lifetime
+    automaton needs them).
     """
     started = time.perf_counter()
     rulesets = tuple(r for r in ALL_RULESETS if r in set(rulesets))

@@ -24,23 +24,29 @@ contracts the ROADMAP's parallel/serving work depends on:
 Effect atoms
 ------------
 
-``mutates-param``, ``mutates-self``, ``mutates-global``,
-``mutates-closure``, ``shared-write`` (a derived atom: an unguarded
+Four atoms, each read by a contract: ``shared-write`` (an unguarded
 write to state classified as *shared* — anything in ``repro.index`` /
 ``repro.storage`` / ``repro.model`` plus the dominator cache),
-``buffer-io``, ``raw-io``, ``file-io``, ``raises-storage``, ``nondet``.
+``raw-io``, ``file-io``, and ``raises-storage``.  Exception-safety
+reads the local mutations themselves.
 
 Masking during propagation is per call site: a call lexically inside a
 ``with <...lock...>:`` block drops ``shared-write``; a call inside a
 ``try`` whose handler catches the storage family (and does not
 re-raise) drops ``raises-storage``; calling into ``repro.storage``
 drops ``raw-io``/``file-io`` (the storage layer is where raw I/O is
-supposed to live); calling a sanctioned writer drops ``shared-write``.
+supposed to live); calling a sanctioned writer drops ``shared-write``;
+instantiating a class (``ClassName(...)``) drops the shared writes
+whose origin writes through ``self`` — the fresh object is private to
+the caller until published.
 
 Propagation runs on :func:`repro.analysis.dataflow.solve_summaries`:
 a function's signature is its local atoms plus the masked atoms of its
-callees, and the first call site an atom arrives through is recorded as
-its source, from which :meth:`FlowAnalysis.chain` rebuilds witnesses.
+callees.  Witnesses are fixed after the fixpoint, from the program
+alone: an atom's source is its first local site, else the lowest
+``(line, callee)`` call site into a function whose own witness is one
+hop shorter, so :meth:`FlowAnalysis.chain` rebuilds a shortest chain
+whatever order the worklist ran in.
 
 Waivers (``# flow: waiver(<rule>)``) and the baseline ratchet are
 applied by :mod:`repro.analysis.driver`.
@@ -54,23 +60,25 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .callgraph import CodeGraph, FunctionInfo
 from .dataflow import solve_summaries
-from .effects import FunctionEffects, Mutation, extract_all_effects
+from .effects import CallSite, FunctionEffects, Mutation, extract_all_effects
 from .finding import Finding
 
 __all__ = ["EFFECT_KINDS", "FlowAnalysis", "FlowConfig"]
 
-EFFECT_KINDS = (
-    "mutates-param",
-    "mutates-self",
-    "mutates-global",
-    "mutates-closure",
-    "shared-write",
-    "buffer-io",
-    "raw-io",
-    "file-io",
-    "raises-storage",
-    "nondet",
-)
+SHARED_WRITE = "shared-write"
+RAW_IO = "raw-io"
+FILE_IO = "file-io"
+RAISES_STORAGE = "raises-storage"
+EFFECT_KINDS = (SHARED_WRITE, RAW_IO, FILE_IO, RAISES_STORAGE)
+
+# A shared write whose origin writes through ``self``: reported as
+# ``shared-write``, but dropped where a call instantiates a fresh object.
+_SELF_WRITE = "shared-write/self"
+
+
+def _public(atom: str) -> str:
+    return SHARED_WRITE if atom == _SELF_WRITE else atom
+
 
 _INIT_NAMES = frozenset({"__init__", "__post_init__", "__new__"})
 
@@ -153,6 +161,8 @@ class FlowAnalysis:
         self.graph = graph
         self.config = config or FlowConfig()
         self.effects: Dict[str, FunctionEffects] = {}
+        # The fixpoint's atoms, shared writes split by origin.
+        self._atoms: Dict[str, Set[str]] = {}
         self.signatures: Dict[str, Set[str]] = {}
         # (function, atom) -> ("local", line) | ("call", callee, line)
         self.sources: Dict[Tuple[str, str], Tuple] = {}
@@ -165,30 +175,27 @@ class FlowAnalysis:
     def run(self) -> "FlowAnalysis":
         self.effects = extract_all_effects(self.graph)
         callers: Dict[str, List[str]] = {}
-        for key in self.graph.functions:
-            self.signatures[key] = set()
         for key, eff in self.effects.items():
             self._seed_local_atoms(key, eff)
             for site in eff.calls:
                 if site.target.kind == "local" and site.target.key:
                     callers.setdefault(site.target.key, []).append(key)
-        self.converged = solve_summaries(
-            self.signatures, self._evaluate, callers
-        )
+        self.converged = solve_summaries(self._atoms, self._evaluate, callers)
+        self.signatures = {
+            key: {_public(atom) for atom in atoms}
+            for key, atoms in self._atoms.items()
+        }
+        self._choose_sources()
         return self
 
     def _evaluate(self, key: str) -> bool:
-        """Pull the masked atoms of ``key``'s callees into its signature."""
-        sig = self.signatures[key]
-        size = len(sig)
+        """Pull the masked atoms of ``key``'s callees into its atoms."""
+        atoms = self._atoms[key]
+        size = len(atoms)
         for site in self.effects[key].calls:
-            callee_key = site.target.key
-            if site.target.kind != "local" or not callee_key:
-                continue
-            for atom in sorted(self._masked_atoms(callee_key, site) - sig):
-                sig.add(atom)
-                self.sources[(key, atom)] = ("call", callee_key, site.line)
-        return len(sig) != size
+            if site.target.kind == "local" and site.target.key:
+                atoms |= self._masked_atoms(site.target.key, site)
+        return len(atoms) != size
 
     def _mutation_is_exempt(self, func: FunctionInfo, mut: Mutation) -> bool:
         if mut.kind == "self" and func.name in _INIT_NAMES:
@@ -199,56 +206,31 @@ class FlowAnalysis:
 
     def _seed_local_atoms(self, key: str, eff: FunctionEffects) -> None:
         func = self.graph.functions[key]
-        sig = self.signatures[key]
+        atoms = self._atoms[key] = set()
 
         def add(atom: str, line: int) -> None:
-            if atom not in sig:
-                sig.add(atom)
-                self.sources[(key, atom)] = ("local", line)
+            atoms.add(atom)
+            self.sources.setdefault((key, _public(atom)), ("local", line))
 
         for mut in eff.mutations:
-            if mut.guarded or mut.kind == "local":
-                continue
-            if self._mutation_is_exempt(func, mut):
+            if mut.guarded or self._mutation_is_exempt(func, mut):
                 continue
             if mut.kind == "self":
-                add("mutates-self", mut.line)
                 if self.config.is_shared_class(func.class_key):
-                    add("shared-write", mut.line)
+                    add(_SELF_WRITE, mut.line)
             elif mut.kind == "param":
-                add("mutates-param", mut.line)
                 param_type = func.param_types.get(mut.root or "")
                 if self.config.is_shared_class(param_type):
-                    add("shared-write", mut.line)
+                    add(SHARED_WRITE, mut.line)
             elif mut.kind == "global":
-                add("mutates-global", mut.line)
-                add("shared-write", mut.line)
-            elif mut.kind == "closure":
-                add("mutates-closure", mut.line)
+                add(SHARED_WRITE, mut.line)
         for site in eff.io_sites:
             add(site.kind, site.line)
-        for line in eff.raise_lines:
-            add("raises-storage", line)
-        if eff.nondet_names:
-            add("nondet", func.line)
+        for _, line in eff.raises:
+            add(RAISES_STORAGE, line)
 
-    def _origin_mutation_kind(self, key: str, atom: str) -> Optional[str]:
-        """Mutation kind ("self"/"param"/"global") at the atom's origin."""
-        hops = self.chain(key, atom)
-        if not hops:
-            return None
-        origin_key, origin_line = hops[-1]
-        eff = self.effects.get(origin_key)
-        if eff is None:
-            return None
-        for mut in eff.mutations:
-            if mut.line == origin_line:
-                return mut.kind
-        return None
-
-    def _masked_atoms(self, callee_key: str, site) -> Set[str]:
+    def _masked_atoms(self, callee_key: str, site: CallSite) -> Set[str]:
         """Atoms of ``callee_key`` that survive ``site``'s masks."""
-        callee_sig = self.signatures.get(callee_key, set())
         callee = self.graph.functions.get(callee_key)
         # ``ClassName(...)`` instantiation: the new object is private to
         # the caller until published, so writes *to it* are not effects
@@ -260,24 +242,17 @@ class FlowAnalysis:
             and site.target.receiver is None
         )
         out = set()
-        for atom in callee_sig:
-            if atom == "mutates-self" and is_instantiation:
-                continue
-            if atom == "shared-write":
-                if site.in_lock:
+        for atom in self._atoms.get(callee_key, ()):
+            if atom in (SHARED_WRITE, _SELF_WRITE):
+                if site.in_lock or callee_key in self.config.sanctioned_writers:
                     continue
-                if callee_key in self.config.sanctioned_writers:
+                if atom == _SELF_WRITE and is_instantiation:
                     continue
-                if (
-                    is_instantiation
-                    and self._origin_mutation_kind(callee_key, atom) == "self"
-                ):
+            elif atom == RAISES_STORAGE:
+                if site.storage_masked:
                     continue
-            if atom == "raises-storage" and site.storage_masked:
-                continue
-            if atom in ("raw-io", "file-io") and callee is not None:
-                if self.config.in_storage(callee.module):
-                    continue
+            elif callee is not None and self.config.in_storage(callee.module):
+                continue  # raw-io / file-io inside the storage layer
             out.add(atom)
         return out
 
@@ -285,23 +260,46 @@ class FlowAnalysis:
     # witnesses
     # ------------------------------------------------------------------
 
+    def _choose_sources(self) -> None:
+        """Fix the call-site source of every propagated atom.
+
+        Breadth-first from the local sources: a function one hop
+        further out takes the lowest ``(line, callee)`` site into the
+        previous layer that carries the atom.
+        """
+        sites: Dict[str, List[Tuple[str, int, Set[str]]]] = {}
+        for key, eff in self.effects.items():
+            for site in eff.calls:
+                callee = site.target.key
+                if site.target.kind == "local" and callee:
+                    carried = {_public(a) for a in self._masked_atoms(callee, site)}
+                    sites.setdefault(callee, []).append((key, site.line, carried))
+        for atom in EFFECT_KINDS:
+            layer = {key for key, source_atom in self.sources if source_atom == atom}
+            while layer:
+                best: Dict[str, Tuple[int, str]] = {}
+                for callee in layer:
+                    for key, line, carried in sites.get(callee, ()):
+                        if atom in carried and (key, atom) not in self.sources:
+                            best[key] = min(best.get(key, (line, callee)), (line, callee))
+                for key, (line, callee) in best.items():
+                    self.sources[(key, atom)] = ("call", callee, line)
+                layer = set(best)
+
     def chain(self, key: str, atom: str) -> List[Tuple[str, int]]:
         """Hops from ``key`` to the local origin of ``atom``."""
         hops: List[Tuple[str, int]] = []
-        seen: Set[str] = set()
         current = key
-        while current not in seen:
-            seen.add(current)
+        while True:
             source = self.sources.get((current, atom))
             if source is None:
-                break
+                return hops
             if source[0] == "local":
                 hops.append((current, source[1]))
-                break
+                return hops
             _, callee, line = source
             hops.append((current, line))
             current = callee
-        return hops
 
     def render_chain(self, key: str, atom: str) -> List[str]:
         out = []
@@ -339,9 +337,9 @@ class FlowAnalysis:
     def _check_worker_read_only(self) -> List[Finding]:
         out = []
         for entry in self.entry_points():
-            if "shared-write" not in self.signatures.get(entry, set()):
+            if SHARED_WRITE not in self.signatures.get(entry, set()):
                 continue
-            anchor_key, line = self._anchor_of(entry, "shared-write")
+            anchor_key, line = self._anchor_of(entry, SHARED_WRITE)
             anchor = self.graph.functions[anchor_key]
             out.append(
                 Finding(
@@ -356,7 +354,7 @@ class FlowAnalysis:
                         f"worker entry point {entry} reaches an unguarded "
                         f"write to shared state in {anchor_key}"
                     ),
-                    chain=self.render_chain(entry, "shared-write"),
+                    chain=self.render_chain(entry, SHARED_WRITE),
                 )
             )
         return out
@@ -372,7 +370,7 @@ class FlowAnalysis:
                 continue
             seen_lines: Set[int] = set()
             for site in eff.io_sites:
-                if site.kind != "raw-io" or site.line in seen_lines:
+                if site.kind != RAW_IO or site.line in seen_lines:
                     continue
                 seen_lines.add(site.line)
                 out.append(
@@ -392,9 +390,9 @@ class FlowAnalysis:
                     )
                 )
         for entry in self.entry_points():
-            if "file-io" not in self.signatures.get(entry, set()):
+            if FILE_IO not in self.signatures.get(entry, set()):
                 continue
-            anchor_key, line = self._anchor_of(entry, "file-io")
+            anchor_key, line = self._anchor_of(entry, FILE_IO)
             anchor = self.graph.functions[anchor_key]
             out.append(
                 Finding(
@@ -410,23 +408,22 @@ class FlowAnalysis:
                         f"{anchor_key}; the hot path must stay inside "
                         f"BufferPool"
                     ),
-                    chain=self.render_chain(entry, "file-io"),
+                    chain=self.render_chain(entry, FILE_IO),
                 )
             )
         return out
 
-    def _callee_mutates_shared_locally(self, callee_key: str) -> Optional[Mutation]:
-        callee = self.graph.functions.get(callee_key)
-        eff = self.effects.get(callee_key)
-        if callee is None or eff is None or callee.name in _INIT_NAMES:
-            return None
-        for mut in eff.mutations:
-            if mut.guarded or mut.kind not in ("self", "global"):
-                continue
-            if self._mutation_is_exempt(callee, mut):
-                continue
-            return mut
-        return None
+    def _state_mutations(self, key: str) -> List[Mutation]:
+        """The unguarded, non-exempt writes ``key`` makes to ``self`` or
+        global state."""
+        func = self.graph.functions[key]
+        return [
+            mut
+            for mut in self.effects[key].mutations
+            if not mut.guarded
+            and mut.kind in ("self", "global")
+            and not self._mutation_is_exempt(func, mut)
+        ]
 
     def _check_exception_safety(self) -> List[Finding]:
         out = []
@@ -436,22 +433,17 @@ class FlowAnalysis:
             if func.module not in subject_modules or func.name in _INIT_NAMES:
                 continue
             eff = self.effects[key]
-            markers: List[Tuple[int, int, str]] = []
-            for mut in eff.mutations:
-                if mut.guarded or mut.kind not in ("self", "global"):
-                    continue
-                if self._mutation_is_exempt(func, mut):
-                    continue
-                markers.append(
-                    (mut.stmt_index, mut.line, f"mutates {mut.kind}.{mut.attr}")
-                )
+            markers: List[Tuple[int, int, str]] = [
+                (mut.stmt_index, mut.line, f"mutates {mut.kind}.{mut.attr}")
+                for mut in self._state_mutations(key)
+            ]
             for site in eff.calls:
-                if site.is_reference or site.target.kind != "local":
+                target = self.graph.functions.get(site.target.key or "")
+                if site.is_reference or target is None:
                     continue
                 if site.receiver_kind not in ("self", "param", "global", "closure"):
                     continue
-                mut = self._callee_mutates_shared_locally(site.target.key or "")
-                if mut is not None:
+                if target.name not in _INIT_NAMES and self._state_mutations(target.key):
                     markers.append(
                         (
                             site.stmt_index,
@@ -461,43 +453,44 @@ class FlowAnalysis:
                     )
             if not markers:
                 continue
-            raising: List[Tuple[int, int, Optional[str]]] = []
+            raising: List[Tuple[int, int, Optional[str]]] = [
+                (index, line, None) for index, line in eff.raises
+            ]
             for site in eff.calls:
-                if site.is_reference or site.storage_masked:
+                callee = site.target.key
+                if site.is_reference or site.storage_masked or callee is None:
                     continue
-                if site.target.kind != "local" or site.target.key is None:
-                    continue
-                if "raises-storage" in self.signatures.get(site.target.key, set()):
-                    raising.append((site.stmt_index, site.line, site.target.key))
-            for index, line in zip(eff.raise_indexes, eff.raise_lines):
-                raising.append((index, line, None))
-            for r_index, r_line, callee in sorted(raising):
-                earlier = [m for m in markers if m[0] < r_index]
-                if not earlier:
-                    continue
-                _, m_line, m_desc = earlier[0]
-                chain = (
-                    self.render_chain(callee, "raises-storage")
-                    if callee is not None
-                    else []
+                if site.target.kind == "local" and RAISES_STORAGE in self.signatures[callee]:
+                    raising.append((site.stmt_index, site.line, callee))
+            # One finding per function keeps the report readable: the
+            # first raise with a mutation before it.
+            hit = next(
+                ((r, m) for r in sorted(raising) for m in markers if m[0] < r[0]),
+                None,
+            )
+            if hit is None:
+                continue
+            (_, r_line, callee), (_, m_line, m_desc) = hit
+            out.append(
+                Finding(
+                    ruleset="flow",
+                    rule="exception-safety",
+                    function=key,
+                    entry=None,
+                    module=func.module,
+                    path=func.path,
+                    line=r_line,
+                    message=(
+                        f"{key} mutates state at line {m_line} "
+                        f"({m_desc}) before a possibly-raising storage "
+                        f"call at line {r_line}; a fault would leave "
+                        f"the engine half-updated"
+                    ),
+                    chain=(
+                        self.render_chain(callee, RAISES_STORAGE)
+                        if callee is not None
+                        else []
+                    ),
                 )
-                out.append(
-                    Finding(
-                        ruleset="flow",
-                        rule="exception-safety",
-                        function=key,
-                        entry=None,
-                        module=func.module,
-                        path=func.path,
-                        line=r_line,
-                        message=(
-                            f"{key} mutates state at line {m_line} "
-                            f"({m_desc}) before a possibly-raising storage "
-                            f"call at line {r_line}; a fault would leave "
-                            f"the engine half-updated"
-                        ),
-                        chain=chain,
-                    )
-                )
-                break  # one finding per function keeps the report readable
+            )
         return out

@@ -7,8 +7,6 @@ Four resource families matter to this repo (ROADMAP "Scale-out"):
 * **shard worker pipes/processes** — ``ctx.Pipe()`` connections and
   ``ctx.Process(...)`` workers (:mod:`repro.index.sharded`), released
   by ``.close()`` / ``.join()`` / ``.terminate()``;
-* **locks** — explicit ``.acquire()`` / ``.release()`` pairs (the
-  ``with lock:`` form is structurally safe and not tracked);
 * **the quarantine lifecycle** — healthy → quarantined
   (``index.mark_down(shard, ...)`` quarantines its *subject argument*)
   → recovered (``recover()``, which clears every tracked subject);
@@ -17,10 +15,12 @@ Four resource families matter to this repo (ROADMAP "Scale-out"):
   the bug (``use-after-quarantine``), not holding the state.
 
 Each family is a :class:`ResourceSpec` automaton run by the forward
-solver over the :mod:`.cfg` graph, whose exception edges come from the
-``raises-storage`` facts of the flow analysis — so "leak on exception
-edge" means precisely: a storage fault (or explicit raise) between
-acquire and release escapes the frame with the resource still held.
+solver over the function's cached :mod:`.cfg` graph.  A statement that
+calls a function whose flow signature carries ``raises-storage``
+sprouts an exception edge to its recorded exception target, so "leak
+on exception edge" means precisely: a storage fault (or explicit raise)
+between acquire and release escapes the frame with the resource still
+held.
 
 Rules:
 
@@ -45,20 +45,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from .callgraph import CodeGraph, FunctionInfo
-from .cfg import CFGNode, build_cfg
-from .dataflow import ForwardSolver
-from .effects import _ScopeModel
+from .cfg import CFGNode
+from .dataflow import solve_forward
 from .finding import Finding
 
-__all__ = [
-    "ResourceSpec",
-    "RESOURCE_SPECS",
-    "LifetimeChecker",
-    "check_lifetime",
-]
+__all__ = ["ResourceSpec", "RESOURCE_SPECS", "check_lifetime"]
 
 RULE_LEAK = "lifetime-leak"
 RULE_DOUBLE_RELEASE = "lifetime-double-release"
@@ -77,20 +71,23 @@ class ResourceSpec:
     acquire_names: FrozenSet[str] = frozenset()  # plain / terminal names
     acquire_methods: FrozenSet[str] = frozenset()  # `.open(...)` style
     tuple_acquire: bool = False  # call yields a tuple of resources
-    # State transitions by method call on the tracked name.
-    stateful_methods: FrozenSet[str] = frozenset()  # re-acquire (quarantine)
     release_methods: FrozenSet[str] = frozenset()
-    use_methods: FrozenSet[str] = frozenset()
-    bad_use_state: str = RELEASED  # state in which use_methods misfire
-    # Subject-argument family: the resource is the first positional
-    # argument, not the receiver (``index.mark_down(shard, ...)``
-    # quarantines *shard*; ``index.recover()`` with no argument clears
-    # every tracked subject of this spec).
-    subject_arg: bool = False
-    use_rule: str = RULE_USE_AFTER_QUARANTINE
-    report_leak: bool = True
-    report_double_release: bool = True
 
+
+# The quarantine family tracks its *subject argument*, not a receiver
+# (``index.mark_down(shard, ...)`` quarantines *shard*; ``recover()``
+# with no argument clears every subject), so its events are dispatched
+# on the method name alone.  A quarantined shard is never a leak;
+# serving it is the bug.
+QUARANTINE = ResourceSpec(name="quarantine")
+_QUARANTINE_EVENTS: Dict[str, str] = {
+    "mark_down": "mark",
+    "quarantine": "mark",
+    "recover": "recover",
+    **dict.fromkeys(
+        ("request", "request_many", "searcher", "ensure_built", "top_k"), "use"
+    ),
+}
 
 RESOURCE_SPECS: Tuple[ResourceSpec, ...] = (
     ResourceSpec(
@@ -110,45 +107,17 @@ RESOURCE_SPECS: Tuple[ResourceSpec, ...] = (
         acquire_names=frozenset({"Process"}),
         release_methods=frozenset({"join", "terminate", "kill", "close"}),
     ),
-    ResourceSpec(
-        name="lock",
-        stateful_methods=frozenset({"acquire"}),
-        release_methods=frozenset({"release"}),
-    ),
-    ResourceSpec(
-        name="quarantine",
-        stateful_methods=frozenset({"mark_down", "quarantine"}),
-        release_methods=frozenset({"recover"}),
-        use_methods=frozenset(
-            {"request", "request_many", "searcher", "ensure_built", "top_k"}
-        ),
-        bad_use_state=ACQUIRED,
-        report_leak=False,
-        report_double_release=False,
-        subject_arg=True,
-    ),
+    QUARANTINE,
 )
 
+_SPEC_BY_NAME = {spec.name: spec for spec in RESOURCE_SPECS}
 _SPEC_BY_ACQUIRE_METHOD: Dict[str, ResourceSpec] = {}
 _SPEC_BY_ACQUIRE_NAME: Dict[str, ResourceSpec] = {}
-_SPEC_BY_STATEFUL_METHOD: Dict[str, ResourceSpec] = {}
-# Subject-arg families are dispatched on the method name alone (the
-# receiver is a registry object of any shape): method -> (spec, role).
-_SUBJECT_METHODS: Dict[str, Tuple[ResourceSpec, str]] = {}
 for _spec in RESOURCE_SPECS:
     for _m in _spec.acquire_methods:
         _SPEC_BY_ACQUIRE_METHOD[_m] = _spec
     for _n in _spec.acquire_names:
         _SPEC_BY_ACQUIRE_NAME[_n] = _spec
-    for _m in _spec.stateful_methods:
-        _SPEC_BY_STATEFUL_METHOD[_m] = _spec
-    if _spec.subject_arg:
-        for _m in _spec.stateful_methods:
-            _SUBJECT_METHODS[_m] = (_spec, "stateful")
-        for _m in _spec.release_methods:
-            _SUBJECT_METHODS[_m] = (_spec, "release")
-        for _m in _spec.use_methods:
-            _SUBJECT_METHODS[_m] = (_spec, "use")
 
 
 class Res(NamedTuple):
@@ -190,23 +159,21 @@ def _join_env(a: Env, b: Env) -> Env:
 class _FunctionPass:
     """Run every resource automaton over one function's CFG."""
 
-    def __init__(self, checker: "LifetimeChecker", func: FunctionInfo) -> None:
-        self.checker = checker
-        self.graph = checker.graph
+    def __init__(
+        self, graph: CodeGraph, raising: AbstractSet[str], func: FunctionInfo
+    ) -> None:
+        self.graph = graph
+        self.raising = raising
         self.func = func
-        self.scope = _ScopeModel(checker.graph, func)
+        self.scope = graph.scope(func.key)
         self.findings: Dict[str, Finding] = {}
 
     def run(self) -> List[Finding]:
-        cfg = build_cfg(self.func.node, may_raise=self._may_raise)
-        solver: ForwardSolver[Env] = ForwardSolver(
-            cfg,
-            initial=dict,
-            join=_join_env,
-            transfer=self._transfer,
-            entry_state={},
+        cfg = self.graph.cfg(self.func.key)
+        raising = {node.index for node in cfg.nodes if self._may_raise(node)}
+        states = solve_forward(
+            cfg, self._transfer, _join_env, dict, entry_state={}, raising=raising
         )
-        states = solver.solve()
         self._check_exit(states.get(cfg.exit, {}), exceptional=False)
         self._check_exit(states.get(cfg.exc_exit, {}), exceptional=True)
         return sorted(
@@ -215,13 +182,17 @@ class _FunctionPass:
 
     # -- exception edges ------------------------------------------------
 
-    def _may_raise(self, stmt: ast.stmt) -> bool:
-        for node in ast.walk(stmt):
+    def _may_raise(self, cfg_node: CFGNode) -> bool:
+        """Whether the node's statement — a compound one with its whole
+        body — calls a function whose signature has ``raises-storage``."""
+        if cfg_node.exc_target is None or cfg_node.stmt is None:
+            return False
+        for node in ast.walk(cfg_node.stmt):
             if isinstance(node, ast.Call):
                 target = self.graph.resolve_call(self.func, node)
                 if (
                     target.kind == "local"
-                    and target.key in self.checker.raising
+                    and target.key in self.raising
                 ):
                     return True
         return False
@@ -332,7 +303,7 @@ class _FunctionPass:
             # Acquired into a non-trackable shape: nothing to track.
             return
         # Not an acquisition: the RHS may carry lifecycle events
-        # (``ok = lock.acquire()``) and may reference (escape) tracked
+        # (``ok = fh.close()``) and may reference (escape) tracked
         # resources; a rebind of a tracked name ends tracking.
         self._process_calls(value, env)
         self._escape_names(value, env)
@@ -379,27 +350,18 @@ class _FunctionPass:
         if not isinstance(func, ast.Attribute):
             return
         method = func.attr
-        if method in _SUBJECT_METHODS:
-            self._subject_event(call, method, env)
+        if method in _QUARANTINE_EVENTS:
+            self._quarantine_event(call, method, env)
             return
         if not isinstance(func.value, ast.Name):
             return
         name = func.value.id
         res = env.get(name)
         if res is None:
-            # Method-based acquisition (lock.acquire) on an untracked
-            # plain local starts tracking.
-            spec = _SPEC_BY_STATEFUL_METHOD.get(method)
-            if spec is not None and not spec.subject_arg and self._is_local(name):
-                env[name] = Res(
-                    spec=spec.name,
-                    states=frozenset({ACQUIRED}),
-                    line=call.lineno,
-                )
             return
-        spec = self.checker.spec_by_name[res.spec]
+        spec = _SPEC_BY_NAME[res.spec]
         if method in spec.release_methods:
-            if RELEASED in res.states and spec.report_double_release:
+            if RELEASED in res.states:
                 self._add(
                     RULE_DOUBLE_RELEASE,
                     call.lineno,
@@ -409,24 +371,8 @@ class _FunctionPass:
                     f"{spec.name} (acquired line {res.line})",
                 )
             env[name] = res._replace(states=frozenset({RELEASED}))
-        elif method in spec.stateful_methods:
-            env[name] = res._replace(states=frozenset({ACQUIRED}))
-        elif method in spec.use_methods and spec.bad_use_state in res.states:
-            what = (
-                "quarantined"
-                if spec.name == "quarantine"
-                else f"released {spec.name}"
-            )
-            self._add(
-                spec.use_rule,
-                call.lineno,
-                spec,
-                name,
-                f"{name}.{method}() serves through a {what} object "
-                f"(state set line {res.line}) without recover()",
-            )
 
-    def _subject_event(self, call: ast.Call, method: str, env: Env) -> None:
+    def _quarantine_event(self, call: ast.Call, method: str, env: Env) -> None:
         """One quarantine-family event: the resource is the *argument*.
 
         ``index.mark_down(shard, ...)`` quarantines ``shard``;
@@ -434,61 +380,41 @@ class _FunctionPass:
         subject; serving methods misfire when any Name they receive —
         or their receiver — is a quarantined subject.
         """
-        spec, role = _SUBJECT_METHODS[method]
         arg0 = call.args[0] if call.args else None
         subject = arg0.id if isinstance(arg0, ast.Name) else None
         receiver = call.func.value if isinstance(call.func, ast.Attribute) else None
         receiver_name = receiver.id if isinstance(receiver, ast.Name) else None
-        if role == "stateful":
+        name = QUARANTINE.name
+        event = _QUARANTINE_EVENTS[method]
+        if event == "mark":
             target = subject or receiver_name
             if target is None:
                 return
             res = env.get(target)
             if res is None:
                 if self._is_local(target):
-                    env[target] = Res(
-                        spec=spec.name,
-                        states=frozenset({ACQUIRED}),
-                        line=call.lineno,
-                    )
-            elif res.spec == spec.name:
+                    env[target] = Res(name, frozenset({ACQUIRED}), call.lineno)
+            elif res.spec == name:
                 env[target] = res._replace(states=frozenset({ACQUIRED}))
             else:
                 env.pop(target, None)
-        elif role == "release":
-            if subject is not None:
-                res = env.get(subject)
-                if res is not None and res.spec == spec.name:
-                    env[subject] = res._replace(states=frozenset({RELEASED}))
-            else:
-                # recover() with no subject clears every quarantine.
-                for tracked, res in list(env.items()):
-                    if res.spec == spec.name:
-                        env[tracked] = res._replace(
-                            states=frozenset({RELEASED})
-                        )
-        else:  # use
-            candidates: List[str] = []
-            if receiver_name is not None:
-                candidates.append(receiver_name)
+        elif event == "recover":
+            # recover() with no subject clears every quarantine.
+            for tracked, res in list(env.items()):
+                if res.spec == name and subject in (None, tracked):
+                    env[tracked] = res._replace(states=frozenset({RELEASED}))
+        else:
+            candidates = [receiver_name] if receiver_name is not None else []
             for arg in call.args:
-                if isinstance(arg, ast.Name):
-                    candidates.append(arg.id)
-                elif isinstance(arg, (ast.Tuple, ast.List)):
-                    candidates.extend(
-                        e.id for e in arg.elts if isinstance(e, ast.Name)
-                    )
+                elts = arg.elts if isinstance(arg, (ast.Tuple, ast.List)) else [arg]
+                candidates.extend(e.id for e in elts if isinstance(e, ast.Name))
             for cand in candidates:
                 res = env.get(cand)
-                if (
-                    res is not None
-                    and res.spec == spec.name
-                    and spec.bad_use_state in res.states
-                ):
+                if res is not None and res.spec == name and ACQUIRED in res.states:
                     self._add(
-                        spec.use_rule,
+                        RULE_USE_AFTER_QUARANTINE,
                         call.lineno,
-                        spec,
+                        QUARANTINE,
                         cand,
                         f"{method}() serves '{cand}' while quarantined "
                         f"(marked down line {res.line}) without recover()",
@@ -513,10 +439,9 @@ class _FunctionPass:
                 receiver = child.func.value
                 if isinstance(receiver, ast.Name):
                     skip.add(id(receiver))
-                entry = _SUBJECT_METHODS.get(child.func.attr)
-                if entry is not None and entry[1] in ("stateful", "release"):
-                    if child.args and isinstance(child.args[0], ast.Name):
-                        skip.add(id(child.args[0]))
+                event = _QUARANTINE_EVENTS.get(child.func.attr)
+                if event in ("mark", "recover") and child.args:
+                    skip.add(id(child.args[0]))
         for child in ast.walk(node):
             if (
                 isinstance(child, ast.Name)
@@ -534,8 +459,8 @@ class _FunctionPass:
     def _check_exit(self, env: Env, exceptional: bool) -> None:
         for name in sorted(env):
             res = env[name]
-            spec = self.checker.spec_by_name[res.spec]
-            if not spec.report_leak or res.auto:
+            spec = _SPEC_BY_NAME[res.spec]
+            if spec is QUARANTINE or res.auto:
                 continue
             if ACQUIRED not in res.states:
                 continue
@@ -581,39 +506,12 @@ class _FunctionPass:
             self.findings[finding.key] = finding
 
 
-class LifetimeChecker:
-    """Resource-lifetime automata over every function in a graph."""
-
-    def __init__(
-        self, graph: CodeGraph, raising: Optional[Set[str]] = None
-    ) -> None:
-        self.graph = graph
-        self.spec_by_name = {spec.name: spec for spec in RESOURCE_SPECS}
-        if raising is None:
-            from .flow import FlowAnalysis
-
-            analysis = FlowAnalysis(graph).run()
-            raising = {
-                key
-                for key, sig in analysis.signatures.items()
-                if "raises-storage" in sig
-            }
-        self.raising = raising
-
-    def run(self) -> List[Finding]:
-        findings: List[Finding] = []
-        for key in sorted(self.graph.functions):
-            findings.extend(
-                _FunctionPass(self, self.graph.functions[key]).run()
-            )
-        findings.sort(key=lambda f: (f.path, f.line, f.key))
-        return findings
-
-
-def check_lifetime(
-    graph: CodeGraph, raising: Optional[Set[str]] = None
-) -> List[Finding]:
-    """Run the lifetime checker; ``raising`` is the set of function
-    keys whose calls sprout exception edges (defaults to the flow
-    analysis' ``raises-storage`` signatures)."""
-    return LifetimeChecker(graph, raising).run()
+def check_lifetime(graph: CodeGraph, raising: AbstractSet[str]) -> List[Finding]:
+    """Run every resource automaton over every function; ``raising`` is
+    the set of function keys whose calls may raise a storage error (the
+    flow signatures carrying ``raises-storage``)."""
+    findings: List[Finding] = []
+    for key in sorted(graph.functions):
+        findings.extend(_FunctionPass(graph, raising, graph.functions[key]).run())
+    findings.sort(key=lambda f: (f.path, f.line, f.key))
+    return findings

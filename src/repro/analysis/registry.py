@@ -1,10 +1,7 @@
 """Shared nondeterminism taxonomy: sources, sanitizers, and sinks.
 
-Both the per-function ``nondet`` effect (:mod:`repro.analysis.effects`)
-and the determinism-taint checker (:mod:`repro.analysis.taint`) consume
-this single registry, so the two passes cannot drift — a name added
-here immediately flags in the effect signatures *and* participates in
-source→sink propagation.
+The determinism-taint checker (:mod:`repro.analysis.taint`) reads its
+sources, sanitizers, and sinks from this one table.
 
 Sources are classified by *kind*, because sinks exempt kinds
 selectively (``WhyNotAnswer.elapsed_seconds`` is allowed to carry a
@@ -138,11 +135,7 @@ UNORDERED_CTOR_NAMES: FrozenSet[str] = frozenset({"set", "frozenset"})
 
 
 def nondet_kind(candidate: str) -> Optional[str]:
-    """Taint kind for a dotted call name, or ``None`` if deterministic.
-
-    This is the single decision point shared by the ``nondet`` effect
-    and the taint checker.
-    """
+    """Taint kind for a dotted call name, or ``None`` if deterministic."""
     if candidate in NONDET_NAMES:
         return KIND_TIME if candidate.startswith("time.") else KIND_RANDOM
     if candidate.startswith(NONDET_PREFIXES):

@@ -11,11 +11,11 @@ reaching a sink without passing a *sanitizer* (``sorted``,
 ``numeric.quantize``, the deterministic merge helpers) is a finding.
 
 The taxonomy (kinds, sanitizers, sink specs with per-field exemptions)
-lives in :mod:`repro.analysis.registry`, shared with the ``nondet``
-effect so the two passes cannot drift.
+lives in :mod:`repro.analysis.registry`.
 
-Mechanics: each function is solved intraprocedurally on its
-:mod:`.cfg` graph with the :mod:`.dataflow` worklist solver — the
+Mechanics: each function is solved intraprocedurally on its cached
+:mod:`.cfg` graph (exception edges from explicit raises only) with the
+:mod:`.dataflow` worklist solver — the
 abstract state maps local names to sets of :class:`Taint` facts plus
 parameter markers.  Function *summaries* (return taint, param→return
 passthrough, param→sink flows) compose with the
@@ -41,11 +41,12 @@ Deliberate precision bounds (documented, tested):
 from __future__ import annotations
 
 import ast
+from functools import reduce
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .callgraph import CodeGraph, FunctionInfo, dotted_name
-from .cfg import CFG, CFGNode, build_cfg
-from .dataflow import ForwardSolver, solve_summaries
+from .cfg import CFGNode
+from .dataflow import solve_forward, solve_summaries
 from .finding import Finding
 from .registry import (
     FS_ORDER_METHODS,
@@ -147,20 +148,6 @@ class Summary(NamedTuple):
     param_sinks: FrozenSet[ParamSink] = frozenset()
 
 
-def _param_names(func: FunctionInfo) -> List[str]:
-    node = func.node
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return []
-    args = node.args
-    names = [a.arg for a in list(args.posonlyargs) + list(args.args)]
-    names.extend(a.arg for a in args.kwonlyargs)
-    if args.vararg:
-        names.append(args.vararg.arg)
-    if args.kwarg:
-        names.append(args.kwarg.arg)
-    return names
-
-
 class _FunctionPass:
     """One intraprocedural solve of one function."""
 
@@ -168,7 +155,7 @@ class _FunctionPass:
         self.checker = checker
         self.graph = checker.graph
         self.func = func
-        self.params = _param_names(func)
+        self.params = func.params
         self.returns: Value = EMPTY
         self.return_structs: List[Tuple[Value, ...]] = []
         self.param_sinks: Set[ParamSink] = set()
@@ -176,34 +163,24 @@ class _FunctionPass:
         # Findings of this solve by key, the lowest line kept.
         self.findings: Dict[str, Finding] = {}
 
-    # -- summary access -------------------------------------------------
-
-    def _summary(self, key: str) -> Summary:
-        return self.checker.summaries.get(key, Summary())
-
     # -- solve ----------------------------------------------------------
 
     def run(self) -> Summary:
-        cfg = self.checker.cfg_for(self.func)
+        cfg = self.graph.cfg(self.func.key)
         entry_env = {
             name: Value(params=frozenset({i}))
             for i, name in enumerate(self.params)
         }
-        solver: ForwardSolver[Dict[str, Value]] = ForwardSolver(
-            cfg,
-            initial=dict,
-            join=self._join_env,
-            transfer=self._transfer,
-            entry_state=entry_env,
+        solve_forward(
+            cfg, self._transfer, self._join_env, dict, entry_state=entry_env
         )
-        solver.solve()
         returns = self.returns
         if self.return_structs and all(
             len(s) == len(self.return_structs[0]) for s in self.return_structs
         ):
             width = len(self.return_structs[0])
             elements = tuple(
-                _join_all([s[i] for s in self.return_structs])
+                reduce(_join_value, [s[i] for s in self.return_structs], EMPTY)
                 for i in range(width)
             )
             returns = returns._replace(elements=elements)
@@ -616,9 +593,9 @@ class _FunctionPass:
         kw_values: List[Tuple[Optional[str], Value]],
     ) -> Value:
         self.callees.add(callee_key)
-        summary = self._summary(callee_key)
+        summary = self.checker.summaries.get(callee_key, Summary())
         callee = self.graph.functions.get(callee_key)
-        callee_params = _param_names(callee) if callee is not None else []
+        callee_params = callee.params if callee is not None else []
         offset = 0
         if (
             callee_params
@@ -689,13 +666,6 @@ class _FunctionPass:
         return result
 
 
-def _join_all(values: Sequence[Value]) -> Value:
-    out = EMPTY
-    for value in values:
-        out = _join_value(out, value)
-    return out
-
-
 def _keep_lowest_line(findings: Dict[str, Finding], finding: Finding) -> None:
     existing = findings.get(finding.key)
     if existing is None or finding.line < existing.line:
@@ -709,17 +679,9 @@ class TaintChecker:
         self.graph = graph
         self.summaries: Dict[str, Summary] = {}
         self.converged = True
-        self._cfgs: Dict[str, CFG] = {}
         self._callers: Dict[str, Set[str]] = {}
         # Each function's findings from its last solve.
         self._findings: Dict[str, Dict[str, Finding]] = {}
-
-    def cfg_for(self, func: FunctionInfo) -> CFG:
-        cfg = self._cfgs.get(func.key)
-        if cfg is None:
-            cfg = build_cfg(func.node)
-            self._cfgs[func.key] = cfg
-        return cfg
 
     def _solve(self, key: str) -> bool:
         """Re-solve one function; whether its summary changed."""

@@ -534,19 +534,12 @@ def _fig13_full_units(rounds: int) -> _Units:
 
 
 def _build_substrate(rounds: int, full: bool) -> _BuildResult:
-    """Substrate micro-units plus the analyzer's own runtime.
+    """Substrate micro-units.
 
     Not a paper figure: these track the building blocks whose costs the
     figures aggregate (index construction, top-k search, rank
-    determination, the MaxDom/MinDom bound estimators) — and the
-    static-analysis substrate itself.  The ``analyze:*`` units time
-    :func:`repro.analysis.run_analysis` over the shipped package, so a
-    super-linear blowup in the CFG/dataflow layer trips the same
-    normalized-p50 gate that guards the query benchmarks.
+    determination, the MaxDom/MinDom bound estimators).
     """
-    import repro as _pkg
-
-    from ..analysis import run_analysis
     from ..core.bounds import NodeTextStats, max_dom, min_dom
     from ..index.kcr_tree import KcRTree
     from ..index.setr_tree import SetRTree
@@ -597,31 +590,7 @@ def _build_substrate(rounds: int, full: bool) -> _BuildResult:
     )
     units["min_dom_root_scale"] = _latency_stats(durations)
 
-    src = str(Path(_pkg.__file__).resolve().parent)
-    for label, rulesets in (
-        ("analyze:flow", ("flow",)),
-        ("analyze:taint+lifetime", ("taint", "lifetime")),
-        ("analyze:all", ("lint", "flow", "taint", "lifetime")),
-    ):
-        reports: List[Any] = []
-        durations, _ = _measure(
-            lambda: reports.append(run_analysis([src], rulesets=rulesets)),
-            rounds,
-        )
-        record = _latency_stats(durations)
-        # Shape counters, informational only: ``compare`` gates the
-        # ``io`` counters and the timings, not these, and they move
-        # with every change to src/repro itself.
-        record["functions"] = reports[-1].n_functions
-        record["modules"] = reports[-1].n_modules
-        record["blocking"] = reports[-1].blocking_count
-        units[label] = record
-
-    meta = {
-        "kind": "euro-like",
-        "size": SUBSTRATE_SIZE,
-        "analyzer_source": "src/repro",
-    }
+    meta = {"kind": "euro-like", "size": SUBSTRATE_SIZE}
     return units, meta, []
 
 

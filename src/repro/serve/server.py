@@ -257,9 +257,8 @@ class WhyNotServer:
                 await wakeup.wait()
                 continue
             # The slot is handed off to the task and released in
-            # _run_one's finally — a cross-task pairing the lifetime
-            # automaton cannot see.
-            await slots.acquire()  # flow: waiver(lifetime-leak)
+            # _run_one's finally.
+            await slots.acquire()
             asyncio.create_task(self._run_one(entry))
 
     async def _run_one(

@@ -8,20 +8,22 @@ import textwrap
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis import dataflow
-from repro.analysis.dataflow import ForwardSolver, solve_summaries
+from repro.analysis.dataflow import solve_forward, solve_summaries
 
 
 def solve(source, transfer, may_raise=None, entry_state=None):
     tree = ast.parse(textwrap.dedent(source))
-    cfg = build_cfg(tree.body[0], may_raise=may_raise)
-    solver = ForwardSolver(
+    cfg = build_cfg(tree.body[0])
+    raising = {n.index for n in cfg.nodes if may_raise and may_raise(n.stmt)}
+    states = solve_forward(
         cfg,
-        initial=frozenset,
+        transfer,
         join=lambda a, b: a | b,
-        transfer=transfer,
+        initial=frozenset,
         entry_state=entry_state,
+        raising=raising,
     )
-    return cfg, solver.solve()
+    return cfg, states
 
 
 def assigned_name(node):
@@ -99,7 +101,7 @@ class TestSolver:
             return state | {name} if name else state
 
         def may_raise(stmt):
-            return any(
+            return stmt is not None and any(
                 isinstance(n, ast.Call)
                 and isinstance(n.func, ast.Name)
                 and n.func.id == "boom"

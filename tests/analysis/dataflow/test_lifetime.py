@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
-from repro.analysis.lifetime import check_lifetime
+from repro.analysis import run_analysis
 
 RAISING_PRELUDE = """
 class StorageError(Exception):
@@ -28,7 +26,8 @@ def findings_for(
     source = textwrap.dedent(body)
     if raising:
         source = RAISING_PRELUDE + source
-    return check_lifetime(make_graph({module: source}))
+    graph = make_graph({module: source})
+    return run_analysis([], rulesets=("lifetime",), graph=graph).findings
 
 
 def rules(findings):
@@ -158,40 +157,6 @@ class TestPipesAndWorkers:
             def run(ctx, target):
                 worker = ctx.Process(target=target)
                 worker.start()
-            """,
-        )
-        assert rules(findings) == {"lifetime-leak"}
-
-
-class TestLocks:
-    def test_release_twice(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            import threading
-
-
-            def guard(work):
-                lk = threading.Lock()
-                lk.acquire()
-                work()
-                lk.release()
-                lk.release()
-            """,
-        )
-        assert rules(findings) == {"lifetime-double-release"}
-
-    def test_acquire_without_release_leaks(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            import threading
-
-
-            def guard(work):
-                lk = threading.Lock()
-                lk.acquire()
-                work()
             """,
         )
         assert rules(findings) == {"lifetime-leak"}

@@ -3,8 +3,6 @@ flavor, plus exemptions, sanitizers, and interprocedural witnesses."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.taint import check_taint
 
 

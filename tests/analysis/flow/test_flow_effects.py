@@ -6,6 +6,7 @@ asserts the inferred effect signature of specific functions.
 
 from __future__ import annotations
 
+from repro.analysis import flow
 from repro.analysis.callgraph import build_graph
 from repro.analysis.flow import FlowAnalysis, FlowConfig
 
@@ -26,23 +27,28 @@ class TestLocalEffects:
     def test_mutates_param(self, make_tree):
         tree = make_tree(
             {
-                "repro/core/util.py": """
-                def bump(items: list) -> None:
-                    items.append(1)
+                "repro/index/node.py": """
+                class Node:
+                    pass
 
-                def pure(items: list) -> int:
-                    return len(items)
+
+                def bump(node: Node) -> None:
+                    node.children.append(1)
+
+                def bump_list(items: list) -> None:
+                    items.append(1)
                 """
             }
         )
         analysis = analyze_tree(tree)
-        assert "mutates-param" in sig(analysis, "repro.core.util.bump")
-        assert sig(analysis, "repro.core.util.pure") == set()
+        # Only a parameter typed as a shared class is shared state.
+        assert "shared-write" in sig(analysis, "repro.index.node.bump")
+        assert sig(analysis, "repro.index.node.bump_list") == set()
 
     def test_mutates_self_and_init_exemption(self, make_tree):
         tree = make_tree(
             {
-                "repro/core/state.py": """
+                "repro/index/state.py": """
                 class Tracker:
                     def __init__(self) -> None:
                         self.items = []
@@ -53,13 +59,13 @@ class TestLocalEffects:
             }
         )
         analysis = analyze_tree(tree)
-        assert "mutates-self" in sig(analysis, "repro.core.state.Tracker.reset")
-        assert sig(analysis, "repro.core.state.Tracker.__init__") == set()
+        assert "shared-write" in sig(analysis, "repro.index.state.Tracker.reset")
+        assert sig(analysis, "repro.index.state.Tracker.__init__") == set()
 
     def test_accounting_attr_exempt(self, make_tree):
         tree = make_tree(
             {
-                "repro/core/acct.py": """
+                "repro/index/acct.py": """
                 class Engine:
                     def tick(self) -> None:
                         self.stats["ticks"] = 1
@@ -70,8 +76,8 @@ class TestLocalEffects:
             }
         )
         analysis = analyze_tree(tree)
-        assert sig(analysis, "repro.core.acct.Engine.tick") == set()
-        assert "mutates-self" in sig(analysis, "repro.core.acct.Engine.corrupt")
+        assert sig(analysis, "repro.index.acct.Engine.tick") == set()
+        assert "shared-write" in sig(analysis, "repro.index.acct.Engine.corrupt")
 
     def test_mutates_global_is_shared_write(self, make_tree):
         tree = make_tree(
@@ -85,9 +91,7 @@ class TestLocalEffects:
             }
         )
         analysis = analyze_tree(tree)
-        atoms = sig(analysis, "repro.core.registry.register")
-        assert "mutates-global" in atoms
-        assert "shared-write" in atoms
+        assert "shared-write" in sig(analysis, "repro.core.registry.register")
 
     def test_mutates_closure(self, make_tree):
         tree = make_tree(
@@ -106,9 +110,8 @@ class TestLocalEffects:
             }
         )
         analysis = analyze_tree(tree)
-        assert "mutates-closure" in sig(
-            analysis, "repro.core.closures.outer.inner"
-        )
+        # A closed-over local is not shared state.
+        assert sig(analysis, "repro.core.closures.outer.inner") == set()
 
     def test_shared_write_needs_shared_class(self, make_tree):
         tree = make_tree(
@@ -164,7 +167,9 @@ class TestIOAndRaises:
             }
         )
         analysis = analyze_tree(tree)
-        assert "buffer-io" in sig(analysis, "repro.core.consumer.through_pool")
+        # The pool's own pager access stays inside repro.storage.
+        assert "raw-io" in sig(analysis, "repro.storage.buffer_pool.BufferPool.fetch")
+        assert "raw-io" not in sig(analysis, "repro.core.consumer.through_pool")
         assert "raw-io" in sig(analysis, "repro.core.consumer.around_pool")
 
     def test_file_io(self, make_tree):
@@ -226,7 +231,6 @@ class TestGuardsAndMasks:
         analysis = analyze_tree(tree)
         guarded = sig(analysis, "repro.index.cache.Cache.put_guarded")
         assert "shared-write" not in guarded
-        assert "mutates-self" not in guarded
         bare = sig(analysis, "repro.index.cache.Cache.put_bare")
         assert "shared-write" in bare
 
@@ -272,40 +276,11 @@ class TestGuardsAndMasks:
         )
         analysis = analyze_tree(tree)
         # __init__ picks up its callee's self-write through propagation...
-        assert "mutates-self" in sig(
+        assert "shared-write" in sig(
             analysis, "repro.index.fresh.Shared.__init__"
         )
         # ...but instantiating a fresh object is not a shared write.
-        built = sig(analysis, "repro.index.fresh.build")
-        assert "mutates-self" not in built
-        assert "shared-write" not in built
-
-
-class TestNondet:
-    def test_random_and_time(self, make_tree):
-        tree = make_tree(
-            {
-                "repro/core/rand.py": """
-                import random
-                import time
-
-
-                def roll() -> float:
-                    return random.random()
-
-                def stamp() -> float:
-                    return time.time()
-
-                def nap() -> None:
-                    time.sleep(0.01)
-                """
-            }
-        )
-        analysis = analyze_tree(tree)
-        assert "nondet" in sig(analysis, "repro.core.rand.roll")
-        assert "nondet" in sig(analysis, "repro.core.rand.stamp")
-        # time.sleep affects wall-clock only, not computed values.
-        assert "nondet" not in sig(analysis, "repro.core.rand.nap")
+        assert "shared-write" not in sig(analysis, "repro.index.fresh.build")
 
 
 class TestFixpoint:
@@ -313,15 +288,18 @@ class TestFixpoint:
         tree = make_tree(
             {
                 "repro/core/rec.py": """
-                def drain(items: list) -> None:
-                    if items:
-                        items.pop()
-                        drain(items)
+                STATE = []
+
+
+                def drain(n: int) -> None:
+                    if n:
+                        STATE.pop()
+                        drain(n - 1)
                 """
             }
         )
         analysis = analyze_tree(tree)
-        assert "mutates-param" in sig(analysis, "repro.core.rec.drain")
+        assert "shared-write" in sig(analysis, "repro.core.rec.drain")
 
     def test_mutual_recursion_converges(self, make_tree):
         tree = make_tree(
@@ -342,9 +320,7 @@ class TestFixpoint:
         )
         analysis = analyze_tree(tree)
         for name in ("ping", "pong"):
-            atoms = sig(analysis, f"repro.core.mutual.{name}")
-            assert "mutates-global" in atoms
-            assert "shared-write" in atoms
+            assert "shared-write" in sig(analysis, f"repro.core.mutual.{name}")
 
     def test_chain_witness_points_at_origin(self, make_tree):
         tree = make_tree(
@@ -365,9 +341,51 @@ class TestFixpoint:
             }
         )
         analysis = analyze_tree(tree)
-        chain = analysis.chain("repro.core.chainy.top", "mutates-global")
+        chain = analysis.chain("repro.core.chainy.top", "shared-write")
         assert [key for key, _line in chain] == [
             "repro.core.chainy.top",
             "repro.core.chainy.middle",
             "repro.core.chainy.origin",
         ]
+
+    def test_witnesses_do_not_depend_on_worklist_order(self, make_tree, monkeypatch):
+        # top_k reaches STATE through middle (its first call, two hops)
+        # and through origin (one hop); a first-arrival witness follows
+        # whichever callee the worklist happened to settle first.
+        tree = make_tree(
+            {
+                "repro/index/search.py": """
+                STATE = {}
+
+
+                def origin() -> None:
+                    STATE["a"] = 1
+
+                def middle() -> None:
+                    origin()
+
+                class TopKSearcher:
+                    def top_k(self) -> None:
+                        middle()
+                        origin()
+                """
+            }
+        )
+        graph = build_graph([str(tree)])
+
+        def solve():
+            analysis = FlowAnalysis(graph).run()
+            chains = {k: analysis.chain(k, "shared-write") for k in analysis.signatures}
+            return analysis.signatures, chains, analysis.check_contracts()
+
+        def ascending(keys, evaluate, callers):  # the worklist pops descending
+            while any([evaluate(key) for key in sorted(keys)]):
+                pass
+            return True
+
+        forward = solve()
+        monkeypatch.setattr(flow, "solve_summaries", ascending)
+        assert solve() == forward
+        top_k = "repro.index.search.TopKSearcher.top_k"
+        assert forward[1][top_k] == [(top_k, 14), ("repro.index.search.origin", 6)]
+        assert [f.rule for f in forward[2]] == ["worker-read-only"]

@@ -41,8 +41,10 @@ class TestRepoWide:
         # The sanctioned writer is lock-guarded: no shared-write escapes.
         record = sigs["repro.core.dominator_cache.DominatorCache.record_dominators"]
         assert "shared-write" not in record
-        # BufferPool.fetch is the blessed I/O surface.
-        assert "buffer-io" in sigs["repro.storage.buffer_pool.BufferPool.fetch"]
+        # BufferPool.fetch is the blessed I/O surface: the pager access
+        # behind it never reaches the search layer.
+        assert "raw-io" in sigs["repro.storage.buffer_pool.BufferPool.fetch"]
+        assert "raw-io" not in sigs["repro.index.search.TopKSearcher.top_k"]
         # The parallel worker path stays read-only on shared state.
         worker_entry = "repro.core.parallel.ParallelAdvanced._evaluate_candidate"
         assert "shared-write" not in sigs[worker_entry]

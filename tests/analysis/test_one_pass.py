@@ -1,7 +1,9 @@
 """One front end, one fixed point.
 
 ``run_analysis`` parses and tokenizes every analysed file exactly once
-(the call graph keeps both the tree and the waiver comments), and
+(the call graph keeps both the tree and the waiver comments) and builds
+every function's CFG exactly once (the graph caches it for every
+layer), and
 ``analyze --all --json`` reports exactly the checked-in golden findings
 — per ruleset, in order, every field — for the seeded fixture and for
 the shipped library.
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import dataflow, run_analysis
+from repro.analysis import cfg, dataflow, run_analysis
 from repro.analysis.callgraph import iter_python_files
 from repro.cli import main
 
@@ -88,6 +90,20 @@ def test_each_file_parsed_and_tokenized_once(monkeypatch):
     assert report.n_modules == len(files)
     assert parsed == Counter({str(path): 1 for path in files})
     assert len(tokenized) == len(files)
+
+
+def test_each_function_cfg_built_once(monkeypatch):
+    built = Counter()
+    real_build = cfg.build_cfg
+
+    def build_cfg(func_node):
+        built[id(func_node)] += 1
+        return real_build(func_node)
+
+    monkeypatch.setattr(cfg, "build_cfg", build_cfg)
+    report = run_analysis([str(SEEDED_REGRESSION)])
+    assert len(built) == report.n_functions
+    assert set(built.values()) == {1}
 
 
 def test_fixpoint_bound_is_a_report_error(monkeypatch, capsys):
