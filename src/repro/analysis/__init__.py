@@ -27,8 +27,8 @@ on float-equality edge cases.  This package guards both sides:
   from the shared :mod:`repro.analysis.registry` taxonomy) reaching a
   result dataclass, checksummed persistence, or a bench emitter.
 * :mod:`repro.analysis.lifetime` — resource acquire/release automata:
-  spill files, shard pipes/workers, and the shard quarantine lifecycle
-  (leak-on-exception-edge, double-release, use-after-quarantine).
+  spill files and shard pipes/workers (leak-on-exception-edge,
+  double-release).
 * :mod:`repro.analysis.driver` — the ``analyze`` runner composing all
   of the above over one parsed call graph, with waiver, stale-waiver,
   and baseline-ratchet semantics; every layer reports the one

@@ -1,18 +1,15 @@
 """Resource-lifetime checking: acquire/release automata on the CFG.
 
-Four resource families matter to this repo (ROADMAP "Scale-out"):
+Three resource families matter to this repo (ROADMAP "Scale-out"):
 
 * **spill files** — the streaming loader's per-tile spill handles
   (``path.open(...)`` / ``open(...)``), released by ``.close()``;
 * **shard worker pipes/processes** — ``ctx.Pipe()`` connections and
   ``ctx.Process(...)`` workers (:mod:`repro.index.sharded`), released
-  by ``.close()`` / ``.join()`` / ``.terminate()``;
-* **the quarantine lifecycle** — healthy → quarantined
-  (``index.mark_down(shard, ...)`` quarantines its *subject argument*)
-  → recovered (``recover()``, which clears every tracked subject);
-  *serving* a request through a shard known to be quarantined —
-  passing it back to ``request`` / ``request_many`` / ``top_k`` — is
-  the bug (``use-after-quarantine``), not holding the state.
+  by ``.close()`` / ``.join()`` / ``.terminate()``.
+
+A request routed to a quarantined shard is refused at runtime by
+:meth:`repro.index.sharded.ShardedIndex.request`, not checked here.
 
 Each family is a :class:`ResourceSpec` automaton run by the forward
 solver over the function's cached :mod:`.cfg` graph.  A statement that
@@ -29,9 +26,6 @@ Rules:
     exceptional exit unreleased.
 ``lifetime-double-release``
     A release on a path where the resource may already be released.
-``lifetime-use-after-quarantine``
-    A serving method invoked on an object that was quarantined on some
-    path without an intervening ``recover()``.
 
 Precision bounds (deliberate, tested): only plain local names are
 tracked — parameters, attributes (``self.conn``), and subscripts
@@ -56,7 +50,6 @@ __all__ = ["ResourceSpec", "RESOURCE_SPECS", "check_lifetime"]
 
 RULE_LEAK = "lifetime-leak"
 RULE_DOUBLE_RELEASE = "lifetime-double-release"
-RULE_USE_AFTER_QUARANTINE = "lifetime-use-after-quarantine"
 
 ACQUIRED = "A"
 RELEASED = "R"
@@ -73,21 +66,6 @@ class ResourceSpec:
     tuple_acquire: bool = False  # call yields a tuple of resources
     release_methods: FrozenSet[str] = frozenset()
 
-
-# The quarantine family tracks its *subject argument*, not a receiver
-# (``index.mark_down(shard, ...)`` quarantines *shard*; ``recover()``
-# with no argument clears every subject), so its events are dispatched
-# on the method name alone.  A quarantined shard is never a leak;
-# serving it is the bug.
-QUARANTINE = ResourceSpec(name="quarantine")
-_QUARANTINE_EVENTS: Dict[str, str] = {
-    "mark_down": "mark",
-    "quarantine": "mark",
-    "recover": "recover",
-    **dict.fromkeys(
-        ("request", "request_many", "searcher", "ensure_built", "top_k"), "use"
-    ),
-}
 
 RESOURCE_SPECS: Tuple[ResourceSpec, ...] = (
     ResourceSpec(
@@ -107,7 +85,6 @@ RESOURCE_SPECS: Tuple[ResourceSpec, ...] = (
         acquire_names=frozenset({"Process"}),
         release_methods=frozenset({"join", "terminate", "kill", "close"}),
     ),
-    QUARANTINE,
 )
 
 _SPEC_BY_NAME = {spec.name: spec for spec in RESOURCE_SPECS}
@@ -253,12 +230,7 @@ class _FunctionPass:
         return env
 
     def _touch(self, node: ast.AST, env: Env) -> None:
-        """Process lifecycle events, then escapes, for one expression.
-
-        Events first: ``return runtime.request(...)`` must fire the
-        use-after-quarantine check before the receiver-exempt escape
-        walk runs.
-        """
+        """Process lifecycle events, then escapes, for one expression."""
         self._process_calls(node, env)
         self._escape_names(node, env)
 
@@ -350,9 +322,6 @@ class _FunctionPass:
         if not isinstance(func, ast.Attribute):
             return
         method = func.attr
-        if method in _QUARANTINE_EVENTS:
-            self._quarantine_event(call, method, env)
-            return
         if not isinstance(func.value, ast.Name):
             return
         name = func.value.id
@@ -372,62 +341,12 @@ class _FunctionPass:
                 )
             env[name] = res._replace(states=frozenset({RELEASED}))
 
-    def _quarantine_event(self, call: ast.Call, method: str, env: Env) -> None:
-        """One quarantine-family event: the resource is the *argument*.
-
-        ``index.mark_down(shard, ...)`` quarantines ``shard``;
-        ``index.recover()`` (no subject argument) clears every tracked
-        subject; serving methods misfire when any Name they receive —
-        or their receiver — is a quarantined subject.
-        """
-        arg0 = call.args[0] if call.args else None
-        subject = arg0.id if isinstance(arg0, ast.Name) else None
-        receiver = call.func.value if isinstance(call.func, ast.Attribute) else None
-        receiver_name = receiver.id if isinstance(receiver, ast.Name) else None
-        name = QUARANTINE.name
-        event = _QUARANTINE_EVENTS[method]
-        if event == "mark":
-            target = subject or receiver_name
-            if target is None:
-                return
-            res = env.get(target)
-            if res is None:
-                if self._is_local(target):
-                    env[target] = Res(name, frozenset({ACQUIRED}), call.lineno)
-            elif res.spec == name:
-                env[target] = res._replace(states=frozenset({ACQUIRED}))
-            else:
-                env.pop(target, None)
-        elif event == "recover":
-            # recover() with no subject clears every quarantine.
-            for tracked, res in list(env.items()):
-                if res.spec == name and subject in (None, tracked):
-                    env[tracked] = res._replace(states=frozenset({RELEASED}))
-        else:
-            candidates = [receiver_name] if receiver_name is not None else []
-            for arg in call.args:
-                elts = arg.elts if isinstance(arg, (ast.Tuple, ast.List)) else [arg]
-                candidates.extend(e.id for e in elts if isinstance(e, ast.Name))
-            for cand in candidates:
-                res = env.get(cand)
-                if res is not None and res.spec == name and ACQUIRED in res.states:
-                    self._add(
-                        RULE_USE_AFTER_QUARANTINE,
-                        call.lineno,
-                        QUARANTINE,
-                        cand,
-                        f"{method}() serves '{cand}' while quarantined "
-                        f"(marked down line {res.line}) without recover()",
-                    )
-
     def _escape_names(self, node: ast.AST, env: Env) -> None:
         """End tracking for any tracked name referenced inside ``node``.
 
         Receivers of method calls are exempt (``fh.write(...)`` is a
-        use, not an escape), as are subject arguments of quarantine
-        mark/recover events (the call is the tracking action itself);
-        everything else — argument positions, container literals,
-        returns, attribute stores — is an escape.
+        use, not an escape); everything else — argument positions,
+        container literals, returns, attribute stores — is an escape.
         """
         if not env:
             return
@@ -439,9 +358,6 @@ class _FunctionPass:
                 receiver = child.func.value
                 if isinstance(receiver, ast.Name):
                     skip.add(id(receiver))
-                event = _QUARANTINE_EVENTS.get(child.func.attr)
-                if event in ("mark", "recover") and child.args:
-                    skip.add(id(child.args[0]))
         for child in ast.walk(node):
             if (
                 isinstance(child, ast.Name)
@@ -460,9 +376,7 @@ class _FunctionPass:
         for name in sorted(env):
             res = env[name]
             spec = _SPEC_BY_NAME[res.spec]
-            if spec is QUARANTINE or res.auto:
-                continue
-            if ACQUIRED not in res.states:
+            if res.auto or ACQUIRED not in res.states:
                 continue
             how = (
                 "an exception edge leaves the frame"

@@ -10,7 +10,7 @@ Subcommands::
     repro-whynot analyze    [src/repro] [--all]      # static analysis (lint/flow/taint/lifetime)
     repro-whynot check-invariants [--size 10000]     # index/storage sanitizer
     repro-whynot chaos      [--seed 7 --queries 200] # fault-injection harness
-    repro-whynot chaos --shards 4 --fault-shard 0    # per-shard containment
+    repro-whynot chaos --shards 4 --fault-shard 0 --intensity 20  # containment
     repro-whynot chaos --serve                       # same gate, via the server
     repro-whynot serve      [--shards 4]             # scripted serving smoke
     repro-whynot serve-bench [--requests 2000]       # simulated heavy traffic
@@ -27,7 +27,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from .experiments.ablations import ABLATIONS, run_ablation
 from .experiments.config import PARAMETER_GRID, SCALES
@@ -469,6 +469,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     degraded_divergent = 0
     answers_checked = 0
     recoveries = 0
+    seen_quarantined: Set[str] = set()  # every unit quarantined in the run
 
     for i in range(args.queries):
         seed_obj = dataset.objects[int(rng.integers(0, len(dataset)))]
@@ -518,7 +519,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             and (i + 1) % args.recover_every == 0
             and chaotic.quarantined
         ):
-            chaotic.recover()
+            seen_quarantined.update(event.tree for event in chaotic.recover())
             recoveries += 1
 
     health = chaotic.health()
@@ -534,17 +535,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"live-tree corruption findings: {corruption}")
     ok = crashes == 0 and unflagged == 0
     if args.shards and args.fault_shard:
-        # Containment gate: every quarantined subtree must belong to a
-        # shard that was allowed to fault.  Keys look like "shard-3:kcr".
+        # Containment gate: every subtree quarantined at any point of
+        # the run (recoveries clear them) must belong to a shard that
+        # was allowed to fault.  Keys look like "shard-3:kcr".
+        seen_quarantined.update(health["quarantined"])
         allowed = {f"shard-{tid}" for tid in args.fault_shard}
         escaped = sorted(
             key
-            for key in health["quarantined"]
+            for key in seen_quarantined
             if key.split(":", 1)[0] not in allowed
         )
         print(f"fault containment:   {'LEAKED ' + str(escaped) if escaped else 'OK'}"
-              f"  (allowed: {sorted(allowed)})")
-        ok = ok and not escaped
+              f"  (allowed: {sorted(allowed)}, seen: {sorted(seen_quarantined)})")
+        # A run that never quarantines, degrades or recovers proves
+        # nothing about containment.
+        vacuous = not (seen_quarantined and degraded and recoveries)
+        if vacuous:
+            print("fault containment:   VACUOUS (needs a quarantine, a flagged"
+                  " degraded answer and a recovery; raise --intensity)")
+        ok = ok and not escaped and not vacuous
     print("CHAOS OK" if ok else "CHAOS FAILED")
     return 0 if ok else 1
 
@@ -950,7 +959,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         action="append",
         help="confine faults to this shard id (repeatable); enables the "
-        "containment gate asserting only listed shards degrade",
+        "containment gate asserting only listed shards degrade (the run "
+        "must quarantine, degrade and recover at least once)",
     )
     p_chaos.add_argument(
         "--serve",

@@ -2,7 +2,9 @@
 
 When an unrecoverable storage fault (checksum mismatch, lost record)
 surfaces mid-query, the engine quarantines the damaged index and routes
-queries through :class:`ScanFallback` instead of crashing.  The
+queries through :class:`ScanFallback` instead of crashing; a sharded
+index serves a down shard's tile through a ``ScanFallback`` over that
+tile's dataset.  It is the repo's only index-free evaluator.  The
 fallback evaluates queries directly over the authoritative in-memory
 dataset — the tree never owns object data, so a broken index loses no
 information, only the paper's I/O profile.
@@ -25,6 +27,7 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import MissingObjectError
+from ..index.search import RankResult
 from ..model.objects import Dataset, SpatialObject
 from ..model.query import SpatialKeywordQuery, WhyNotQuestion
 from ..model.similarity import JACCARD, SimilarityModel
@@ -97,18 +100,22 @@ class ScanFallback:
         vocab = VocabularyIndex.from_dataset(self.dataset)
         return vocab, PackedLeaf.of_dataset(self.dataset, vocab)
 
-    def _scan_scores(
+    def _scores(
         self,
-        table: Tuple[Any, Any],
+        table: Optional[Tuple[Any, Any]],
         query: SpatialKeywordQuery,
         keywords: KeywordSet,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched Eqn 1 scores (and oids) for the whole dataset."""
-        from .vectorized import leaf_scores
+        """Every object's Eqn 1 score and oid, in dataset order.
 
-        vocab, packed = table
-        scores = np.array(
-            leaf_scores(
+        Batched over ``table`` when there is one, else the scalar loop;
+        the two agree bit for bit.
+        """
+        if table is not None:
+            from .vectorized import leaf_scores
+
+            vocab, packed = table
+            scores = leaf_scores(
                 packed,
                 query.loc,
                 query.alpha,
@@ -116,32 +123,29 @@ class ScanFallback:
                 len(keywords),
                 self.model.name,
                 self.dataset,
-            ),
-            dtype=np.float64,
-        )
-        return scores, packed.oids
+            )
+            return np.array(scores, dtype=np.float64), packed.oids
+        objects = self.dataset.objects
+        scores = [self.score(obj, query, keywords) for obj in objects]
+        oids = [obj.oid for obj in objects]
+        return np.array(scores, dtype=np.float64), np.array(oids, dtype=np.int64)
 
-    def _rank(
+    def _dominating(
         self,
         table: Optional[Tuple[Any, Any]],
         query: SpatialKeywordQuery,
         missing: Sequence[SpatialObject],
         keywords: KeywordSet,
-    ) -> int:
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Scores and oids of the objects strictly above the worst
+        missing object (Eqn 3's dominators), in dataset order."""
         threshold = min(self.score(m, query, keywords) for m in missing)
-        if table is not None:
-            scores, _ = self._scan_scores(table, query, keywords)
-            dominators = int(np.count_nonzero(scores > threshold))
-        else:
-            dominators = sum(
-                1
-                for obj in self.dataset
-                if self.score(obj, query, keywords) > threshold
-            )
-        return dominators + 1
+        scores, oids = self._scores(table, query, keywords)
+        above = scores > threshold
+        return scores[above], oids[above]
 
     # ------------------------------------------------------------------
-    # query evaluation
+    # query evaluation (the TopKSearcher contract)
     # ------------------------------------------------------------------
     def top_k(
         self,
@@ -156,27 +160,48 @@ class ScanFallback:
         """
         limit = query.k if k is None else k
         doc = query.doc if keywords is None else keywords
-        table = self._table()
-        if table is not None:
-            scores, oids = self._scan_scores(table, query, doc)
-            # lexsort keys ascend, last key is primary: score desc, oid asc
-            order = np.lexsort((oids, -scores))[:limit]
-            return list(zip(scores[order].tolist(), oids[order].tolist()))
-        scored = sorted(
-            ((self.score(obj, query, doc), obj.oid) for obj in self.dataset),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        return scored[:limit]
+        scores, oids = self._scores(self._table(), query, doc)
+        # lexsort keys ascend, last key is primary: score desc, oid asc
+        order = np.lexsort((oids, -scores))[:limit]
+        return list(zip(scores[order].tolist(), oids[order].tolist()))
 
     def rank_of_missing(
         self,
         query: SpatialKeywordQuery,
         missing: Sequence[SpatialObject],
         keywords: Optional[KeywordSet] = None,
-    ) -> int:
-        """``R(M, q')``: one plus the strictly-better object count."""
+        stop_limit: Optional[int] = None,
+    ) -> RankResult:
+        """``R(M, q')`` with the :meth:`TopKSearcher.rank_of_missing`
+        result: dominators in score-descending, oid-ascending order,
+        capped at ``max(stop_limit, 1)`` when the search aborts."""
         doc = query.doc if keywords is None else keywords
-        return self._rank(self._table(), query, missing, doc)
+        scores, oids = self._dominating(self._table(), query, missing, doc)
+        order = np.lexsort((oids, -scores))
+        dominators = tuple(oids[order].tolist())
+        cap = None if stop_limit is None else max(stop_limit, 1)
+        if cap is not None and len(dominators) >= cap:
+            return RankResult(rank=None, dominators=dominators[:cap], aborted=True)
+        return RankResult(
+            rank=len(dominators) + 1, dominators=dominators, aborted=False
+        )
+
+    def dominator_counts(
+        self,
+        query: SpatialKeywordQuery,
+        batch: Sequence[Tuple[KeywordSet, Sequence[float]]],
+    ) -> List[List[int]]:
+        """For each ``(keywords, thresholds)`` pair, how many objects
+        score strictly above each threshold — one packed table for the
+        whole batch."""
+        table = self._table()
+        counts: List[List[int]] = []
+        for keywords, thresholds in batch:
+            scores, _ = self._scores(table, query, keywords)
+            counts.append(
+                [int(np.count_nonzero(scores > bar)) for bar in thresholds]
+            )
+        return counts
 
     # ------------------------------------------------------------------
     # why-not answering (BS semantics over the scan)
@@ -193,7 +218,7 @@ class ScanFallback:
         query = question.query
         missing = tuple(self.dataset.get(oid) for oid in question.missing)
         table = self._table()  # one packed snapshot for the whole sweep
-        initial_rank = self._rank(table, query, missing, query.doc)
+        initial_rank = 1 + len(self._dominating(table, query, missing, query.doc)[1])
         if initial_rank <= query.k:
             raise MissingObjectError(
                 f"missing objects already rank {initial_rank} <= k={query.k} "
@@ -221,7 +246,9 @@ class ScanFallback:
         for candidate in enumerator.iter_naive():
             counters.candidates_enumerated += 1
             counters.candidates_evaluated += 1
-            rank = self._rank(table, query, missing, candidate.keywords)
+            rank = 1 + len(
+                self._dominating(table, query, missing, candidate.keywords)[1]
+            )
             penalty = penalty_model.penalty(candidate.delta_doc, rank)
             if penalty < best.penalty:
                 best = RefinedQuery(

@@ -43,6 +43,7 @@ from ..index.sharded import Shard, ShardedIndex
 from ..model.similarity import JACCARD, SimilarityModel
 from .candidates import Candidate
 from .context import QuestionContext
+from .degraded import ScanFallback
 from .kcr_algorithm import (
     Contribution,
     KcRAlgorithm,
@@ -145,33 +146,20 @@ class ShardedKcRAlgorithm(KcRAlgorithm):
         self._cumulative[shard.tid] = exact
 
     def _scan_contribution(self, shard: Shard) -> Contribution:
-        """Exact per-candidate dominator counts for one shard, index
-        free — the same score arithmetic as the leaf-exact path, so the
-        swapped-in bounds equal what a healthy traversal converges to.
+        """Exact per-candidate dominator counts for one shard, from
+        ``ScanFallback`` scores — the same arithmetic as the leaf-exact
+        path, so the swapped-in bounds equal what a healthy traversal
+        converges to.
         """
         query = self._context.query
         missing = self._context.missing
-        alpha = query.alpha
-        beta = 1.0 - alpha
         m_sdist = [
             self.index.dataset.normalized_distance(m.loc, query.loc)
             for m in missing
         ]
         states = scored_states(self.model, query, missing, self._batch, m_sdist)
-        n_missing = len(missing)
-        exact: Contribution = {
-            s_index: ([0] * n_missing, [0] * n_missing)
-            for s_index in range(len(states))
-        }
-        dataset = shard.dataset
-        for obj in dataset.objects:
-            spatial = alpha * (1.0 - dataset.normalized_distance(obj.loc, query.loc))
-            for s_index, state in enumerate(states):
-                tsim = self.model.similarity(obj.doc, state.candidate.keywords)
-                score = spatial + beta * tsim
-                counts = exact[s_index]
-                for i in range(n_missing):
-                    if score > state.m_score[i]:
-                        counts[0][i] += 1
-                        counts[1][i] += 1
-        return exact
+        counts = ScanFallback(shard.dataset, self.model).dominator_counts(
+            query, [(state.candidate.keywords, state.m_score) for state in states]
+        )
+        # Exact counts bound MaxDom and MinDom alike.
+        return {s_index: (c, list(c)) for s_index, c in enumerate(counts)}

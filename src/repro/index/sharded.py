@@ -24,10 +24,12 @@ contractual:
   summed ledger is mode-invariant.
 
 * **Failure containment.**  An unrecoverable storage fault inside one
-  shard marks only that shard down; its partition is served by an
-  index-free scan with the same score arithmetic (exact answers,
-  ``degraded``-flagged) while every other shard keeps its tree and its
-  buffer state.
+  shard marks only that shard tree down; its partition is served by a
+  :class:`~repro.core.degraded.ScanFallback` over the shard's tile
+  (exact answers, ``degraded``-flagged) while every other shard keeps
+  its tree and its buffer state.  :meth:`ShardedIndex.request` and
+  :meth:`ShardedIndex.request_many` refuse any tree op aimed at a down
+  shard tree, so a routing bug fails loudly instead of being absorbed.
 
 Parallelism follows :mod:`repro.core.parallel`'s two-mode convention:
 the default ``simulate`` mode measures per-shard busy time and reports
@@ -50,6 +52,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -71,6 +74,7 @@ from ..errors import (
     InvalidParameterError,
     PersistenceError,
     StorageError,
+    ensure,
 )
 from ..model.geometry import Point, Rect
 from ..model.objects import Dataset, SpatialObject
@@ -84,6 +88,9 @@ from .persistence import load_index, save_index
 from .rtree import DEFAULT_CAPACITY, RTreeBase
 from .search import RankResult, TopKSearcher
 from .setr_tree import SetRTree
+
+if TYPE_CHECKING:  # import cycle: repro.core.* imports repro.index.*
+    from ..core.degraded import ScanFallback
 
 __all__ = [
     "LoadStats",
@@ -766,79 +773,6 @@ class _ProcessBackend:
 
 
 # ----------------------------------------------------------------------
-# index-free per-shard fallback (failure containment)
-# ----------------------------------------------------------------------
-def _scan_scores(
-    dataset: Dataset,
-    query: SpatialKeywordQuery,
-    keywords: KeywordSet,
-    model: SimilarityModel,
-) -> List[Tuple[float, int]]:
-    """Every object's exact Eqn-1 score — the same float operations as
-    :meth:`TopKSearcher._object_score`, so a down shard's scan results
-    merge bit-identically with the other shards' tree results."""
-    scored: List[Tuple[float, int]] = []
-    for obj in dataset.objects:
-        dist = dataset.normalized_distance(obj.loc, query.loc)
-        textual = model.similarity(obj.doc, keywords)
-        score = query.alpha * (1.0 - dist) + (1.0 - query.alpha) * textual
-        scored.append((score, obj.oid))
-    return scored
-
-
-def _scan_top_k(
-    dataset: Dataset,
-    query: SpatialKeywordQuery,
-    limit: int,
-    keywords: KeywordSet,
-    model: SimilarityModel,
-) -> List[Tuple[float, int]]:
-    scored = _scan_scores(dataset, query, keywords, model)
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    return scored[:limit]
-
-
-def _scan_rank(
-    dataset: Dataset,
-    query: SpatialKeywordQuery,
-    missing: Sequence[SpatialObject],
-    keywords: Optional[KeywordSet],
-    stop_limit: Optional[int],
-    model: SimilarityModel,
-) -> RankResult:
-    """Index-free mirror of one shard's ``rank_of_missing``.
-
-    A healthy shard returns its dominators in score order, capped at
-    ``max(stop_limit, 1)`` when the early stop fires; sorting the scan's
-    strict dominators the same way and applying the same cap makes a
-    down shard's contribution bit-identical to the tree's.
-    """
-    doc = query.doc if keywords is None else keywords
-    alpha = query.alpha
-    beta = 1.0 - alpha
-    threshold = min(
-        alpha * (1.0 - dataset.normalized_distance(m.loc, query.loc))
-        + beta * model.similarity(m.doc, doc)
-        for m in missing
-    )
-    dominating = [
-        pair for pair in _scan_scores(dataset, query, doc, model)
-        if pair[0] > threshold
-    ]
-    dominating.sort(key=lambda pair: (-pair[0], pair[1]))
-    dominators = tuple(oid for _, oid in dominating)
-    if stop_limit is not None:
-        cap = max(stop_limit, 1)
-        if len(dominators) >= cap:
-            return RankResult(
-                rank=None, dominators=dominators[:cap], aborted=True
-            )
-    return RankResult(
-        rank=len(dominators) + 1, dominators=dominators, aborted=False
-    )
-
-
-# ----------------------------------------------------------------------
 # runtime accounting and the tree-like views
 # ----------------------------------------------------------------------
 class _ShardRuntime:
@@ -917,8 +851,8 @@ class ShardedSearcher:
     ``stop_limit`` and sums the capped dominator counts — the global
     abort verdict (``Σ counts ≥ max(stop_limit, 1)``) then matches the
     single tree's, which aborts exactly when the global dominator count
-    reaches the cap.  Down shards are served by the exact index-free
-    scan, so answers stay bit-identical while degraded.
+    reaches the cap.  Down shards are served by a ``ScanFallback`` over
+    their tile, so answers stay bit-identical while degraded.
     """
 
     def __init__(
@@ -931,6 +865,7 @@ class ShardedSearcher:
         self.kind = kind
         self.model = model
         self.stats = index.runtime  # busy-discount / fault accounting bag
+        self._exact = self._scan(index.dataset)
 
     # -- helpers -------------------------------------------------------
     def _shards(self) -> List[Shard]:
@@ -946,6 +881,15 @@ class ShardedSearcher:
         if len(busys) > 1:
             self.stats.discount_seconds += sum(busys) - max(busys)
 
+    def _scan(self, dataset: Dataset) -> "ScanFallback":
+        """The index-free evaluator over ``dataset`` (a down shard's
+        tile, or the whole dataset for exact re-scoring)."""
+        # Imported lazily: repro.core's package init imports the
+        # engine, which reaches back into this module.
+        from ..core.degraded import ScanFallback
+
+        return ScanFallback(dataset, self.model)
+
     def score_object(
         self,
         obj: SpatialObject,
@@ -953,11 +897,7 @@ class ShardedSearcher:
         keywords: Optional[KeywordSet] = None,
     ) -> float:
         """Exact Eqn 1 score of a known object (no index I/O)."""
-        doc = query.doc if keywords is None else keywords
-        dataset = self.index.dataset
-        dist = dataset.normalized_distance(obj.loc, query.loc)
-        textual = self.model.similarity(obj.doc, doc)
-        return query.alpha * (1.0 - dist) + (1.0 - query.alpha) * textual
+        return self._exact.score(obj, query, keywords)
 
     # -- top-k ---------------------------------------------------------
     def top_k(
@@ -991,25 +931,18 @@ class ShardedSearcher:
         for bound, _, shard in ordered:
             if len(merged) >= limit and bound < merged[-1][0]:
                 continue  # cannot contribute: every score <= bound < kth
-            if self._is_down(shard):
-                started = time.perf_counter()
-                part = _scan_top_k(
-                    shard.dataset, query, limit, doc, self.model
-                )
-                search_busys.append(time.perf_counter() - started)
-            else:
+            if not self._is_down(shard):
                 try:
                     part, busy = self.index.request(
                         shard, ("top_k", self.kind, query, limit, doc)
                     )
-                    search_busys.append(busy)
                 except StorageError as exc:
                     self._mark_down(shard, "top_k", exc)
-                    started = time.perf_counter()
-                    part = _scan_top_k(
-                        shard.dataset, query, limit, doc, self.model
-                    )
-                    search_busys.append(time.perf_counter() - started)
+            if self._is_down(shard):
+                started = time.perf_counter()
+                part = self._scan(shard.dataset).top_k(query, limit, doc)
+                busy = time.perf_counter() - started
+            search_busys.append(busy)
             merged.extend(part)
             merged.sort(key=lambda pair: (-pair[0], pair[1]))
             del merged[limit:]
@@ -1046,13 +979,8 @@ class ShardedSearcher:
         for shard in self._shards():
             result = by_tid.get(shard.tid)
             if result is None:
-                result = _scan_rank(
-                    shard.dataset,
-                    query,
-                    missing_tuple,
-                    keywords,
-                    stop_limit,
-                    self.model,
+                result = self._scan(shard.dataset).rank_of_missing(
+                    query, missing_tuple, keywords, stop_limit
                 )
             total += len(result.dominators)
             dominator_ids.extend(result.dominators)
@@ -1061,9 +989,9 @@ class ShardedSearcher:
         # (score descending, then oid) — pure arithmetic, no index I/O.
         doc = query.doc if keywords is None else keywords
         dataset = self.index.dataset
+        score = self._exact.score
         scored = sorted(
-            (-self.score_object(dataset.get(oid), query, doc), oid)
-            for oid in dominator_ids
+            (-score(dataset.get(oid), query, doc), oid) for oid in dominator_ids
         )
         dominators = tuple(oid for _, oid in scored)
         if stop_limit is not None and total >= max(stop_limit, 1):
@@ -1288,8 +1216,32 @@ class ShardedIndex:
             self._backends[shard.tid] = backend
         return backend
 
+    def _refuse_down(self, batch: Sequence[Tuple[Shard, Tuple]]) -> None:
+        """The quarantine guard: no tree op reaches a down shard tree.
+
+        A down tree's partition is served by a ``ScanFallback`` over
+        the shard's tile, so a ``bound``/``top_k``/``rank``/``kcr_*``
+        op aimed at it is a routing bug.  It raises
+        :class:`~repro.errors.InvariantViolationError`, never a
+        :class:`StorageError`, so no fault handler can absorb it.
+        Admin ops (warm, rebuild, reset) pass.
+        """
+        down = self.runtime.down
+        if not down:
+            return
+        for shard, message in batch:
+            op = message[0]
+            if op in _ADMIN_OPS:
+                continue
+            kind = "kcr" if op.startswith("kcr_") else message[1]
+            ensure(
+                (shard.tid, kind) not in down,
+                f"{op!r} sent to quarantined shard-{shard.tid}:{kind}",
+            )
+
     def request(self, shard: Shard, message: Tuple) -> Tuple[Any, float]:
         """One operation on one shard via its mode's backend."""
+        self._refuse_down(((shard, message),))
         return self._backend(shard).request(message)
 
     def request_many(
@@ -1309,6 +1261,8 @@ class ShardedIndex:
         so one failed shard cannot discard its siblings' replies;
         non-storage failures (a dead worker) still propagate.
         """
+        # Before any submit: process mode writes straight to the pipes.
+        self._refuse_down(batch)
         started = time.perf_counter()
         results: List[Union[Tuple[Any, float], StorageError]] = []
         if self.mode == "process":

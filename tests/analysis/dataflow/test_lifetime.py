@@ -1,5 +1,5 @@
 """Resource-lifetime checker: leaks (normal and exception paths),
-double release, escapes, and the subject-arg quarantine family."""
+double release and escapes."""
 
 from __future__ import annotations
 
@@ -160,77 +160,3 @@ class TestPipesAndWorkers:
             """,
         )
         assert rules(findings) == {"lifetime-leak"}
-
-
-class TestQuarantine:
-    def test_use_after_mark_down(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            def serve(index, exc):
-                shard = index.shards[0]
-                index.mark_down(shard, "setr", "top_k", exc)
-                return index.request(shard, ("top_k",))
-            """,
-            module="repro/index/rt.py",
-        )
-        assert rules(findings) == {"lifetime-use-after-quarantine"}
-
-    def test_recover_clears_quarantine(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            def serve(index, exc):
-                shard = index.shards[0]
-                index.mark_down(shard, "setr", "top_k", exc)
-                index.recover()
-                return index.request(shard, ("top_k",))
-            """,
-            module="repro/index/rt.py",
-        )
-        assert findings == []
-
-    def test_targeted_recover_clears_only_its_subject(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            def serve(index, exc):
-                a = index.shards[0]
-                b = index.shards[1]
-                index.mark_down(a, "setr", "top_k", exc)
-                index.mark_down(b, "setr", "top_k", exc)
-                index.recover(a)
-                index.request(a, ("top_k",))
-                index.request(b, ("top_k",))
-            """,
-            module="repro/index/rt.py",
-        )
-        assert rules(findings) == {"lifetime-use-after-quarantine"}
-        assert findings[0].var == "b"
-
-    def test_other_shards_stay_usable(self, make_graph):
-        findings = findings_for(
-            make_graph,
-            """
-            def serve(index, exc):
-                bad = index.shards[0]
-                good = index.shards[1]
-                index.mark_down(bad, "setr", "top_k", exc)
-                return index.request(good, ("top_k",))
-            """,
-            module="repro/index/rt.py",
-        )
-        assert findings == []
-
-    def test_quarantine_never_reports_leak(self, make_graph):
-        # Marking a shard down and returning is a legitimate degraded
-        # state, not a resource leak.
-        findings = findings_for(
-            make_graph,
-            """
-            def degrade(index, shard, exc):
-                index.mark_down(shard, "setr", "top_k", exc)
-            """,
-            module="repro/index/rt.py",
-        )
-        assert findings == []

@@ -118,7 +118,6 @@ class TestPerRulesetSchema:
         assert rules == {
             "lifetime-leak",
             "lifetime-double-release",
-            "lifetime-use-after-quarantine",
         }
         for finding in findings:
             assert set(finding) == TAINT_LIFETIME_FIELDS

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import WhyNotEngine
+from repro.errors import InvariantViolationError, StorageError
 from repro.storage.faults import FaultInjector, FaultSchedule
 
 BRUTAL = FaultSchedule(bit_rot_rate=0.3, lost_record_rate=0.2)
@@ -103,3 +104,62 @@ class TestFaultContainment:
         forked = [s.tid for s in index.shards if s._tree_faults("setr") is not None]
         assert forked == [s.tid for s in index.shards]
         chaotic.close()
+
+
+@pytest.fixture(params=["simulate", "process"])
+def shard0_down(request, euro_small):
+    """A fault-free 4-shard engine whose shard 0 trees are both down."""
+    dataset, _ = euro_small
+    engine = WhyNotEngine(dataset, shards=4, shard_mode=request.param)
+    index = engine.sharded_index
+    for kind in ("setr", "kcr"):
+        index.mark_down(index.shards[0], kind, "test", StorageError("down"))
+    yield engine
+    engine.close()
+
+
+class TestQuarantineGuard:
+    """A down shard is served by its scan, never by its tree."""
+
+    def test_down_shard_answers_are_exact(self, shard0_down, euro_engine, euro_cases):
+        for case in euro_cases:
+            outcome = shard0_down.run_top_k(case.query)
+            assert outcome.degraded
+            assert outcome.results == euro_engine.top_k(case.query)
+            for method in ("basic", "advanced", "kcr"):
+                base = euro_engine.answer(case, method=method)
+                answer = shard0_down.answer(case, method=method)
+                assert answer.degraded
+                assert answer.refined == base.refined
+                assert answer.initial_rank == base.initial_rank
+
+    def test_tree_ops_to_down_shard_are_refused(self, shard0_down, euro_cases):
+        index = shard0_down.sharded_index
+        model = shard0_down.model
+        index.ensure_built("setr", model)
+        down, healthy = index.shards[0], index.shards[1]
+        case = euro_cases[0]
+        query = case.query
+        missing = tuple(shard0_down.dataset.get(oid) for oid in case.missing)
+        tree_ops = [
+            ("bound", "setr", query, query.doc),
+            ("top_k", "setr", query, 3, query.doc),
+            ("rank", "setr", query, missing, None, None),
+            ("kcr_init", query, missing, (), model),
+            ("kcr_step", ()),
+        ]
+        for message in tree_ops:
+            with pytest.raises(InvariantViolationError):
+                index.request(down, message)
+            with pytest.raises(InvariantViolationError):
+                index.request_many([(healthy, tree_ops[0]), (down, message)])
+        # The refused batch submitted nothing: the healthy shard's next
+        # reply answers the next request, not a stale bound.
+        results, _ = index.request(healthy, ("top_k", "setr", query, 3, query.doc))
+        assert isinstance(results, list) and len(results) == 3
+        for message in (
+            ("warm", ("setr",), model),
+            ("reset",),
+            ("rebuild", "setr", model),
+        ):
+            assert index.request(down, message)[0] is True
