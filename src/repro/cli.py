@@ -447,18 +447,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     schedule = MIXED.scaled(args.intensity)
     injector = FaultInjector(schedule, seed=args.seed)
     baseline = WhyNotEngine(dataset)
-    if args.shards:
-        # Sharded containment leg: faults are confined to the listed
-        # shard(s); the gate below asserts only those shards degrade.
-        chaotic = WhyNotEngine(
-            dataset,
-            faults=injector,
-            shards=args.shards,
-            shard_mode=args.shard_mode,
-            fault_shards=tuple(args.fault_shard) if args.fault_shard else None,
-        )
-    else:
-        chaotic = WhyNotEngine(dataset, faults=injector)
+    # With --fault-shard, faults are confined to the listed shard(s);
+    # the containment gate below asserts only those shards degrade.
+    chaotic = WhyNotEngine(
+        dataset,
+        faults=injector,
+        shards=args.shards or None,
+        shard_mode=args.shard_mode,
+        fault_shards=tuple(args.fault_shard) if args.fault_shard else None,
+    )
     if getattr(args, "serve", False):
         return _chaos_serve(args, dataset, baseline, chaotic)
     rng = np.random.default_rng(args.seed)
@@ -610,11 +607,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import STATUS_DEGRADED, STATUS_OK, ServerConfig, WhyNotServer
 
     dataset, _ = make_euro_like(args.size, seed=args.seed)
-    engine = (
-        WhyNotEngine(dataset, shards=args.shards)
-        if args.shards
-        else WhyNotEngine(dataset)
-    )
+    engine = WhyNotEngine(dataset, shards=args.shards or None)
     oracle = Oracle(dataset)
     seed_obj = dataset.objects[args.seed % len(dataset)]
     query = SpatialKeywordQuery(
@@ -654,53 +647,54 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "health ok pre-fault", server.health()["status"] == "ok"
             )
 
-            if engine.is_sharded:
-                print("forcing shard quarantine")
-                index = engine.sharded_index
-                index.mark_down(
-                    index.shards[1],
-                    "setr",
-                    "forced-outage",
-                    TransientIOError("smoke-test forced outage"),
+            print("forcing shard quarantine")
+            index = engine.sharded_index
+            victim = index.shards[-1]
+            unit = f"shard-{victim.tid}:setr"
+            index.mark_down(
+                victim,
+                "setr",
+                "forced-outage",
+                TransientIOError("smoke-test forced outage"),
+            )
+            first = await server.top_k("alice", query)
+            health = server.health()
+            breaker = health["breakers"].get(unit, {})
+            check(
+                "outage answered degraded",
+                first.status == STATUS_DEGRADED,
+                first.status,
+            )
+            check(
+                "breaker opened",
+                breaker.get("state") == "open"
+                and health["status"] == "degraded",
+                str(breaker.get("state")),
+            )
+            seen = {str(breaker.get("state"))}
+            last = first
+            for _ in range(config.breaker_cooldown + 3):
+                last = await server.top_k("alice", query)
+                state = (
+                    server.health()["breakers"]
+                    .get(unit, {})
+                    .get("state")
                 )
-                first = await server.top_k("alice", query)
-                health = server.health()
-                breaker = health["breakers"].get("shard-1:setr", {})
-                check(
-                    "outage answered degraded",
-                    first.status == STATUS_DEGRADED,
-                    first.status,
-                )
-                check(
-                    "breaker opened",
-                    breaker.get("state") == "open"
-                    and health["status"] == "degraded",
-                    str(breaker.get("state")),
-                )
-                seen = {str(breaker.get("state"))}
-                last = first
-                for _ in range(config.breaker_cooldown + 3):
-                    last = await server.top_k("alice", query)
-                    state = (
-                        server.health()["breakers"]
-                        .get("shard-1:setr", {})
-                        .get("state")
-                    )
-                    seen.add(str(state))
-                    if state == "closed":
-                        break
-                check(
-                    "breaker walked open->half_open->closed",
-                    {"open", "half_open", "closed"} <= seen,
-                    "->".join(sorted(seen)),
-                )
-                check(
-                    "recovered to exact ok", last.status == STATUS_OK, last.status
-                )
-                check(
-                    "health ok post-recovery",
-                    server.health()["status"] == "ok",
-                )
+                seen.add(str(state))
+                if state == "closed":
+                    break
+            check(
+                "breaker walked open->half_open->closed",
+                {"open", "half_open", "closed"} <= seen,
+                "->".join(sorted(seen)),
+            )
+            check(
+                "recovered to exact ok", last.status == STATUS_OK, last.status
+            )
+            check(
+                "health ok post-recovery",
+                server.health()["status"] == "ok",
+            )
             print(f"final health: {server.health()['responses']}")
 
     asyncio.run(drive())
@@ -946,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=0,
-        help="run the chaotic engine over N spatial shards (0 = unsharded)",
+        help="run the chaotic engine over N spatial shards (0 = one, the default)",
     )
     p_chaos.add_argument(
         "--shard-mode",
@@ -982,8 +976,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=4,
-        help="shard count for the served engine (0 = unsharded; disables "
-        "the forced-quarantine leg)",
+        help="shard count for the served engine (0 = the default "
+        "one-shard engine)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -99,7 +99,7 @@ class SearchCounters:
 class FaultEvent:
     """One storage fault the engine survived (and how).
 
-    ``tree`` names the affected index (``"setr"`` / ``"kcr"``),
+    ``tree`` names the quarantined unit (``"shard-<tid>:<kind>"``),
     ``operation`` the engine call that hit the fault, ``error`` the
     exception class name, ``record_id`` the damaged record when the
     error carried one, and ``detail`` the human-readable message.
@@ -122,9 +122,9 @@ class TopKOutcome:
     """A top-k result plus its fault-tolerance verdict.
 
     ``results`` holds the usual ``(score, oid)`` pairs, best first.
-    ``degraded`` is True when the answer came from the index-free
-    dataset scan because the SetR-tree was (or just became)
-    quarantined; ``events`` then lists the faults that caused it.
+    ``degraded`` is True when a SetR-tree was (or just became)
+    quarantined, so its tile came from the index-free dataset scan;
+    ``events`` then lists the faults that caused it.
     """
 
     results: List[Tuple[float, int]]
@@ -141,11 +141,12 @@ class WhyNotAnswer:
     paper's evaluation reports; ``counters`` carries the pruning
     telemetry; ``algorithm`` names the method that produced the answer.
 
-    ``degraded`` marks an answer computed by the index-free fallback
-    while the method's index was quarantined after an unrecoverable
-    storage fault; ``fault_events`` then records the faults involved.
-    Degraded answers carry a zero ``io`` snapshot — they must not be
-    mixed into the paper's I/O metrics.
+    ``degraded`` marks an answer computed while a tree of the kind the
+    method reads was quarantined after an unrecoverable storage fault
+    (that tile, or for a raw-tree method the whole answer, came from
+    the index-free fallback); ``fault_events`` then records the faults
+    involved.  Degraded answers must not be mixed into the paper's I/O
+    metrics.
     """
 
     refined: RefinedQuery

@@ -8,9 +8,10 @@ it.  Each node additionally stores ``cnt``, the subtree cardinality.
 The count map supports the bound-and-prune algorithm's
 ``MaxDom``/``MinDom`` estimation (Algorithm 2, Theorems 2–3) in
 :mod:`repro.core.bounds`, and a coarse score upper bound used for the
-initial rank determination in Algorithm 4 — an object's Jaccard
-similarity to ``S`` can never exceed ``|kcm ∩ S| / |S|`` because the
-union with ``S`` has at least ``|S|`` terms.
+initial rank determination in Algorithm 4 — an object's keywords in
+``S`` all appear in the subtree's ``kcm``, so the similarity model's
+node bound over ``kcm ∩ S`` (with an empty intersection) caps it; under
+Jaccard that is ``|kcm ∩ S| / |S|``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, FrozenSet, Tuple
 
 from ..errors import IndexStructureError
 from ..model.query import SpatialKeywordQuery
+from ..model.similarity import JACCARD, SimilarityModel
 from ..storage.layout import keyword_count_map_bytes
 from .entries import ChildEntry
 from .rtree import RTreeBase, TextSummary
@@ -66,21 +68,20 @@ class KcRTree(RTreeBase):
         entry: ChildEntry,
         query: SpatialKeywordQuery,
         keywords: KeywordSet,
+        model: SimilarityModel = JACCARD,
     ) -> float:
         """Admissible ``ST`` upper bound for any object under ``entry``.
 
-        Jaccard-specific: ``TSim <= |kcm-keys ∩ S| / |S|`` since the
-        numerator cannot exceed the keywords present in the subtree and
-        the union in the denominator contains all of ``S``.
+        Any document below the node lies between the empty set and the
+        keywords present in its ``kcm``, so ``model``'s node bound over
+        that (union, intersection) pair caps ``TSim``; for Jaccard it
+        is ``|kcm-keys ∩ S| / |S|``.
         """
         cnt, kcm = self.fetch_kcm(entry.aux_record)
         min_dist = entry.rect.min_dist(query.loc) / self.dataset.diagonal
         if min_dist > 1.0:
             min_dist = 1.0
         spatial = 1.0 - min_dist
-        if keywords:
-            overlap = sum(1 for t in keywords if t in kcm)
-            textual = overlap / len(keywords)
-        else:
-            textual = 0.0
+        present = frozenset(t for t in keywords if t in kcm)
+        textual = model.node_upper_bound(present, frozenset(), keywords)
         return query.alpha * spatial + (1.0 - query.alpha) * textual

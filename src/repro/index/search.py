@@ -237,7 +237,9 @@ class TopKSearcher:
                     )
         else:
             for entry in node.child_entries:
-                bound = self.tree.entry_score_bound(entry, query, keywords)
+                bound = self.tree.entry_score_bound(
+                    entry, query, keywords, self.model
+                )
                 self._push_node(heap, entry.child_id, bound)
 
     def _leaf_scores(

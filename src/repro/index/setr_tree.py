@@ -31,8 +31,6 @@ KeywordSet = FrozenSet[int]
 class SetRTree(RTreeBase):
     """R-tree whose nodes carry (union, intersection) keyword sets."""
 
-    similarity_model: SimilarityModel = JACCARD
-
     def _summary_payload(self, summary: TextSummary):
         union = summary.union
         intersection = summary.intersection
@@ -69,19 +67,19 @@ class SetRTree(RTreeBase):
         entry: ChildEntry,
         query: SpatialKeywordQuery,
         keywords: KeywordSet,
+        model: SimilarityModel = JACCARD,
     ) -> float:
         """Theorem 1 upper bound on ``ST`` for any object under ``entry``.
 
         ``keywords`` overrides the query's own keyword set so why-not
         candidate sets can be bounded against the same index without
-        materialising query objects.
+        materialising query objects.  ``model`` is the searcher's
+        similarity model; its node bound is admissible for it alone.
         """
         union, intersection = self.fetch_set_pair(entry.aux_record)
         min_dist = entry.rect.min_dist(query.loc) / self.dataset.diagonal
         if min_dist > 1.0:
             min_dist = 1.0
         spatial = 1.0 - min_dist
-        textual = self.similarity_model.node_upper_bound(
-            union, intersection, keywords
-        )
+        textual = model.node_upper_bound(union, intersection, keywords)
         return query.alpha * spatial + (1.0 - query.alpha) * textual

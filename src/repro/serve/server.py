@@ -169,15 +169,8 @@ class WhyNotServer:
         are massive write bursts that belong to startup, not to a
         request with a deadline.
         """
-        if self.engine.is_sharded:
-            for kind in self.config.warm:
-                self.engine.sharded_index.ensure_built(kind, self.engine.model)
-            return
         for kind in self.config.warm:
-            if kind == "setr":
-                self.engine.setr_tree
-            elif kind == "kcr":
-                self.engine.kcr_tree
+            self.engine.sharded_index.ensure_built(kind, self.engine.model)
 
     # -- request intake ------------------------------------------------
 

@@ -350,6 +350,13 @@ class FaultInjector:
             + self.torn_injected
         )
 
+    def absorb(self, counts: Dict[str, int]) -> None:
+        """Add injection counts made elsewhere (a forked shard worker's
+        copy of this injector) to this injector's own ledger."""
+        with self._lock:
+            for key, value in counts.items():
+                setattr(self, key, getattr(self, key) + value)
+
     def summary(self) -> Dict[str, int]:
         """Injection-side counts for this injector and all its forks.
 

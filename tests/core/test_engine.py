@@ -15,9 +15,10 @@ class TestConstruction:
     def test_lazy_index_build(self):
         dataset, _ = make_micro_example()
         engine = WhyNotEngine(dataset, capacity=4)
-        assert engine._setr is None and engine._kcr is None
+        shard = engine.sharded_index.shards[0]
+        assert not shard.has_tree("setr") and not shard.has_tree("kcr")
         _ = engine.setr_tree
-        assert engine._setr is not None and engine._kcr is None
+        assert shard.has_tree("setr") and not shard.has_tree("kcr")
 
     def test_buffer_fraction_resizes(self, euro_small):
         dataset, _ = euro_small

@@ -311,12 +311,12 @@ def test_degraded_answers_match_baseline(fault_world):
         question = WhyNotQuestion(query, (missing,), lam=0.5)
         expected = baseline.answer(question, method="kcr")
         actual = chaotic.answer(question, method="kcr")
-        assert actual.refined.penalty == pytest.approx(
-            expected.refined.penalty, abs=1e-9
-        )
+        # KcRBased fans out, so a down tree's tile is served by the exact
+        # scan and the whole refined query stays bit-identical.
+        assert actual.refined == expected.refined
+        assert actual.initial_rank == expected.initial_rank
         if actual.degraded:
             assert actual.fault_events
-            assert actual.algorithm.endswith("/degraded-scan")
         checked += 1
     assert checked == len(queries)
 

@@ -127,20 +127,20 @@ class TestScanFallbackParity:
             query, missing
         )
 
-    @given(micro_worlds(), st.sampled_from(["0", "1"]))
+    @given(micro_worlds(), st.sampled_from(["0", "1"]), st.sampled_from(MODELS))
     @settings(max_examples=60, deadline=None)
-    def test_matches_tree_searcher(self, world, flag):
+    def test_matches_tree_searcher(self, world, flag, model):
         """The scan returns the tree searcher's whole result: top-k,
         rank, abort verdict and the exact dominator tuple, capped at
-        ``max(stop_limit, 1)`` when the search aborts.  Jaccard only:
-        the trees' node bounds are written for it (see
-        :meth:`test_tree_bound_admissible_for_model`)."""
+        ``max(stop_limit, 1)`` when the search aborts — under every
+        similarity model, since the trees bound nodes with the
+        searcher's model."""
         dataset, query, target = world
         missing = [dataset.get(target)]
         with pytest.MonkeyPatch.context() as env:
             env.setenv("REPRO_VECTORIZE", flag)
-            scan = ScanFallback(dataset)
-            tree = TopKSearcher(SetRTree(dataset, capacity=4))
+            scan = ScanFallback(dataset, model)
+            tree = TopKSearcher(SetRTree(dataset, capacity=4), model)
             assert scan.top_k(query) == tree.top_k(query)
             count = len(tree.rank_of_missing(query, missing).dominators)
             for stop_limit in (None, 0, 1, count, count + 1):
@@ -152,14 +152,9 @@ class TestScanFallbackParity:
                     want.dominators,
                 )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="SetRTree.entry_score_bound always uses the Jaccard node "
-        "bound, which is not an upper bound under Dice or Cosine, so the "
-        "tree search misses object 13",
-    )
+    @pytest.mark.parametrize("tree_cls", [SetRTree, KcRTree])
     @pytest.mark.parametrize("model", [DICE, COSINE])
-    def test_tree_bound_admissible_for_model(self, model):
+    def test_tree_bound_admissible_for_model(self, model, tree_cls):
         objects = [SpatialObject(oid=0, loc=(0.0, 0.5), doc=frozenset({0, 1}))]
         objects += [
             SpatialObject(oid=i, loc=(0.0, 0.0), doc=frozenset())
@@ -171,7 +166,7 @@ class TestScanFallbackParity:
             loc=(0.0, 0.0), doc=frozenset({0}), k=1, alpha=0.25
         )
         missing = [dataset.get(0)]
-        tree = TopKSearcher(SetRTree(dataset, capacity=4), model)
+        tree = TopKSearcher(tree_cls(dataset, capacity=4), model)
         assert ScanFallback(dataset, model).rank_of_missing(
             query, missing
         ).dominators == (13,)

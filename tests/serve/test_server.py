@@ -44,6 +44,32 @@ class TestHappyPath:
         assert why.kind == "whynot"
         assert why.session == "s1"
 
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_concurrent_kcr_questions_stay_exact(
+        self, serve_dataset, serve_cases, shards
+    ):
+        """Two workers answer KcR questions at once; each shard keeps one
+        walker, so the questions must not drive it together."""
+        from repro import WhyNotEngine
+
+        engine = WhyNotEngine(serve_dataset, shards=shards)
+        questions = [case.question for case in serve_cases] * 2
+        expected = [engine.answer(q, method="kcr").refined for q in questions]
+        config = ServerConfig(workers=2, budgets={"topk": None, "whynot": None})
+
+        async def scenario():
+            async with WhyNotServer(engine, config) as server:
+                return await asyncio.gather(
+                    *(
+                        server.why_not(f"s{i}", q, method="kcr")
+                        for i, q in enumerate(questions)
+                    )
+                )
+
+        responses = _drive(scenario())
+        assert [r.status for r in responses] == [STATUS_OK] * len(questions)
+        assert [r.result.refined for r in responses] == expected
+
     def test_submit_requires_running_server(self, serve_engine, serve_cases):
         server = WhyNotServer(serve_engine)
         with pytest.raises(InvalidParameterError):
