@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 
 from repro import (
+    AdvancedAlgorithm,
+    BasicAlgorithm,
+    KcRAlgorithm,
     Oracle,
     SpatialKeywordQuery,
+    TopKSearcher,
     WhyNotEngine,
     WhyNotQuestion,
     make_euro_like,
@@ -108,6 +112,33 @@ def euro_small():
 def euro_engine(euro_small):
     dataset, _ = euro_small
     return WhyNotEngine(dataset)
+
+
+class RawTreeReference:
+    """Top-k, BS, AdvancedBS and KcRBased run straight on one raw tree.
+
+    The engine reaches every tree through the shard fan-out (its
+    default is one tile), so an engine-vs-engine comparison would share
+    that code.  Shard-count parity is checked against this instead.
+    """
+
+    def __init__(self, engine: WhyNotEngine) -> None:
+        self.engine = engine
+
+    def top_k(self, query):
+        return TopKSearcher(self.engine.setr_tree, self.engine.model).top_k(query)
+
+    def answer(self, question, method):
+        model = self.engine.model
+        if method == "kcr":
+            return KcRAlgorithm(self.engine.kcr_tree, model).answer(question)
+        algorithm = BasicAlgorithm if method == "basic" else AdvancedAlgorithm
+        return algorithm(self.engine.setr_tree, model).answer(question)
+
+
+@pytest.fixture(scope="session")
+def euro_reference(euro_engine):
+    return RawTreeReference(euro_engine)
 
 
 @pytest.fixture(scope="session")
