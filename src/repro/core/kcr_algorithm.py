@@ -530,8 +530,10 @@ class KcRWalker:
         reduce to a column-slice sum.  When the leaf carries a healthy
         packed columnar block (:mod:`repro.core.vectorized`) and
         vectorization is on, :meth:`_leaf_sums_packed` scores the leaf
-        against every alive candidate at once instead.  Doc fetches
-        stay per-object (I/O-accounted); only the arithmetic is
+        against every alive candidate at once instead.  Either way the
+        leaf's docs come from one
+        :meth:`~repro.index.rtree.RTreeBase.fetch_docs` call, charged
+        as one accounted fetch per object; only the arithmetic is
         batched.
         """
         tree = self.tree
@@ -540,7 +542,7 @@ class KcRWalker:
         beta = self.beta
         n_missing = len(self.m_sdist)
         entries = node.object_entries
-        docs = [tree.fetch_doc(entry.doc_record) for entry in entries]
+        docs = tree.fetch_docs(entries)
         doc_lengths = np.array([len(doc) for doc in docs], dtype=np.float64)
         packed = tree.packed_leaf(node) if self.vectorize else None
         if packed is not None and len(packed) == len(entries):

@@ -38,9 +38,11 @@ kernel reproduces the scalar path bit for bit:
 * the empty-operand convention (similarity involving an empty side is
   0.0) is shared with :mod:`repro.model.similarity`, which pins it.
 
-The kernels never touch storage: callers fetch documents through the
-buffer pool exactly as the scalar path does (same accounted I/O, same
-fault surface) and hand the packed block in.  The ``REPRO_VECTORIZE``
+The kernels never touch storage: callers fetch a leaf's documents
+through the buffer pool exactly as the scalar path does, with one
+``RTreeBase.fetch_docs`` call that charges one accounted fetch per
+object and consults the pool (and its fault injector) once per doc-page
+run, and hand the packed block in.  The ``REPRO_VECTORIZE``
 environment switch (default **on**) gates *use* of the kernels, never
 the construction of the packed blocks, so the on-disk layout and the
 accounted storage-operation sequence are identical in both modes.
@@ -186,9 +188,24 @@ class PackedLeaf:
         doc_lens = np.fromiter(
             (len(doc) for _, _, doc in items), dtype=np.float64, count=n
         )
-        masks = np.zeros((n, vocab.n_blocks), dtype=np.uint64)
+        # One scatter of every (row, term bit) pair; terms outside the
+        # vocabulary are skipped, as :meth:`VocabularyIndex.encode` does.
+        bit = vocab._bit
+        rows: List[int] = []
+        positions: List[int] = []
         for row, (_, _, doc) in enumerate(items):
-            masks[row] = vocab.encode(doc)
+            for term in doc:
+                position = bit.get(term)
+                if position is not None:
+                    rows.append(row)
+                    positions.append(position)
+        where = np.array(positions, dtype=np.int64)
+        masks = np.zeros((n, vocab.n_blocks), dtype=np.uint64)
+        np.bitwise_or.at(
+            masks,
+            (np.array(rows, dtype=np.int64), where // _BLOCK_BITS),
+            np.left_shift(np.uint64(1), (where % _BLOCK_BITS).astype(np.uint64)),
+        )
         return cls(oids=oids, xs=xs, ys=ys, doc_lens=doc_lens, masks=masks)
 
     @classmethod

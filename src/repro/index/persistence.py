@@ -133,9 +133,7 @@ class _StructureLoader:
             for obj, index in zip(objects, indexes)
         ]
         rect = bounding_rect(Rect.from_point(obj.loc) for obj in objects)
-        summary = TextSummary.merged(
-            TextSummary.of_object(obj) for obj in objects
-        )
+        summary = TextSummary.of_docs([obj.doc for obj in objects])
         return self._allocate(
             spec,
             rect,

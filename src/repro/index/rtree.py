@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from itertools import chain, groupby
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -46,7 +47,7 @@ from ..model.objects import Dataset, SpatialObject
 from ..storage.buffer_pool import DEFAULT_BUFFER_BYTES, BufferPool
 from ..storage.faults import FaultInjector
 from ..storage.layout import keyword_set_bytes, node_bytes, packed_leaf_bytes
-from ..storage.packing import PackedWriter, SlotRef, fetch_slot
+from ..storage.packing import PackedWriter, SlotRef, fetch_slot, slot_payload
 from ..storage.pager import PAGE_SIZE
 from ..storage.stats import IOStatistics
 from .entries import ChildEntry, Entry, Node, ObjectEntry
@@ -101,8 +102,31 @@ def _quadratic_split(entries, rect_of, min_fill):
             rect_b = rect_b.union(rect)
     return group_a, group_b
 
+
+def _take_docs(
+    page: Any, refs: Sequence[SlotRef], docs: List[FrozenSet[int]]
+) -> int:
+    """Append the keyword sets in ``refs``' slots of ``page`` to ``docs``
+    up to the first bad slot; return how many per-slot fetches that is
+    (the bad slot's own fetch included)."""
+    for index, ref in enumerate(refs):
+        try:
+            doc = page[ref.slot]
+        except (TypeError, IndexError):
+            return index + 1
+        if not isinstance(doc, frozenset):
+            return index + 1
+        docs.append(doc)
+    return len(refs)
+
+
 DEFAULT_CAPACITY = 100
 """Node capacity used throughout the paper's experiments."""
+
+_BuildItem = Tuple[Rect, Any, Any]
+"""A bulk-load item: ``(mbr, object or child entry, summary)``.  At the
+leaf level the summary is ``None``: a leaf's summary is built from its
+run's documents in one pass."""
 
 
 class TextSummary:
@@ -125,6 +149,15 @@ class TextSummary:
     @classmethod
     def of_object(cls, obj: SpatialObject) -> "TextSummary":
         return cls(Counter(obj.doc), 1)
+
+    @classmethod
+    def of_docs(cls, docs: Sequence[FrozenSet[int]]) -> "TextSummary":
+        """Summary of a leaf's objects, from their keyword sets.
+
+        One ``Counter`` over all the docs: the same counts, in the same
+        key order, as merging one :meth:`of_object` summary per doc.
+        """
+        return cls(Counter(chain.from_iterable(docs)), len(docs))
 
     @classmethod
     def merged(cls, summaries: Iterable["TextSummary"]) -> "TextSummary":
@@ -250,18 +283,17 @@ class RTreeBase:
     def _build(self) -> None:
         # Leaf level: items are the objects themselves; their keyword
         # sets are packed into shared pages per leaf node (the paper's
-        # sequential on-disk keyword payload layout).
-        leaf_items: List[Tuple[Rect, SpatialObject, TextSummary]] = [
-            (Rect.from_point(obj.loc), obj, TextSummary.of_object(obj))
-            for obj in self.dataset
+        # sequential on-disk keyword payload layout).  A leaf's summary
+        # is built from its run's docs, so leaf items carry none.
+        items: List[_BuildItem] = [
+            (Rect.from_point(obj.loc), obj, None) for obj in self.dataset
         ]
         doc_writer = PackedWriter(self.buffer)
         level = 0
-        items: List[Tuple[Rect, Any, TextSummary]] = leaf_items
         is_leaf = True
         while True:
             runs = self._str_runs(items)
-            next_items: List[Tuple[Rect, Any, TextSummary]] = []
+            next_items: List[_BuildItem] = []
             for run in runs:
                 node_info = self._build_node(run, is_leaf, level, doc_writer)
                 next_items.append(node_info)
@@ -278,14 +310,14 @@ class RTreeBase:
 
     def _build_node(
         self,
-        run: Sequence[Tuple[Rect, Any, TextSummary]],
+        run: Sequence[_BuildItem],
         is_leaf: bool,
         level: int,
         doc_writer: PackedWriter,
     ) -> Tuple[Rect, ChildEntry, TextSummary]:
         rect = bounding_rect(item[0] for item in run)
-        summary = TextSummary.merged(item[2] for item in run)
         if is_leaf:
+            summary = TextSummary.of_docs([obj.doc for _, obj, _ in run])
             # Pack this leaf's keyword sets together, then seal the
             # page so the next leaf starts fresh (locality per leaf).
             indexes = [
@@ -300,6 +332,7 @@ class RTreeBase:
                 for (_, obj, _), index in zip(run, indexes)
             ]
         else:
+            summary = TextSummary.merged(item[2] for item in run)
             entries = [item[1] for item in run]
         node = Node(
             node_id=-1, is_leaf=is_leaf, rect=rect, entries=entries, level=level
@@ -319,15 +352,15 @@ class RTreeBase:
         return rect, ChildEntry(child_id=node_id, rect=rect, aux_record=summary_record), summary
 
     def _str_runs(
-        self, items: Sequence[Tuple[Rect, Any, TextSummary]]
-    ) -> List[Sequence[Tuple[Rect, Any, TextSummary]]]:
+        self, items: Sequence[_BuildItem]
+    ) -> List[Sequence[_BuildItem]]:
         """Sort-Tile-Recursive grouping of items into capacity-sized runs."""
         n = len(items)
         n_nodes = math.ceil(n / self.capacity)
         n_slices = math.ceil(math.sqrt(n_nodes))
         slice_size = n_slices * self.capacity
         by_x = sorted(items, key=lambda item: (item[0].center[0], item[0].center[1]))
-        runs: List[Sequence[Tuple[Rect, Any, TextSummary]]] = []
+        runs: List[Sequence[_BuildItem]] = []
         for start in range(0, n, slice_size):
             vertical_slice = sorted(
                 by_x[start : start + slice_size],
@@ -359,6 +392,34 @@ class RTreeBase:
             raise IndexStructureError(f"record {doc_record} is not a keyword set")
         return doc
 
+    def fetch_docs(self, entries: Sequence[ObjectEntry]) -> List[FrozenSet[int]]:
+        """Keyword sets of ``entries``, charged as per-entry :meth:`fetch_doc`.
+
+        Consecutive entries whose keyword sets share a packed page form
+        a run.  A per-entry loop fetches that page once per entry, every
+        fetch after the first a buffer hit; one
+        :meth:`BufferPool.fetch_run` per run charges the same fetches,
+        hits and LRU order in O(1).  The run's slots are checked before
+        its hits are charged, so a bad slot raises what :meth:`fetch_doc`
+        raises, after the same charges.
+        """
+        docs: List[FrozenSet[int]] = []
+        for record, run in groupby(entries, key=lambda entry: entry.doc_record.record):
+            refs = [entry.doc_record for entry in run]
+            first = len(docs)
+            page = self.buffer.fetch_run(
+                record,
+                len(refs),
+                consumed=lambda page: _take_docs(page, refs, docs),
+            )
+            taken = len(docs) - first
+            if taken < len(refs):
+                slot_payload(page, refs[taken])  # raises on a bad slot
+                raise IndexStructureError(
+                    f"record {refs[taken]} is not a keyword set"
+                )
+        return docs
+
     # ------------------------------------------------------------------
     # packed columnar leaf blocks (vectorized scoring substrate)
     # ------------------------------------------------------------------
@@ -385,9 +446,10 @@ class RTreeBase:
 
         if not node.entries:
             return
+        entries = node.object_entries
         items = [
-            (entry.oid, entry.loc, self.fetch_doc(entry.doc_record))
-            for entry in node.object_entries
+            (entry.oid, entry.loc, doc)
+            for entry, doc in zip(entries, self.fetch_docs(entries))
         ]
         packed = PackedLeaf.build(items, self.vocab)
         nbytes = packed_leaf_bytes(len(items), self.vocab.n_blocks)
@@ -400,10 +462,10 @@ class RTreeBase:
         """The leaf's packed block, or ``None`` when unavailable.
 
         Read with :meth:`BufferPool.peek` — the block mirrors data whose
-        I/O the scalar path already charges per entry (locations live in
-        the node record, keyword sets in the packed doc pages), so
-        charging it again would double-count; the caller issues the
-        per-entry doc fetches itself.  A missing or corrupt block (e.g.
+        I/O both paths already charge (locations live in the node
+        record, keyword sets in the packed doc pages), so charging it
+        again would double-count; the caller fetches the docs itself
+        with :meth:`fetch_docs`.  A missing or corrupt block (e.g.
         rotted by an injected fault) degrades to ``None`` and the caller
         falls back to the bit-identical scalar loop for this leaf.
         """
@@ -604,10 +666,7 @@ class RTreeBase:
     def _payload_of_entries(self, node: Node) -> Tuple[Any, int]:
         """Recompute a node's summary payload from its members."""
         if node.is_leaf:
-            summary = TextSummary.merged(
-                TextSummary(Counter(self.fetch_doc(e.doc_record)), 1)
-                for e in node.entries
-            )
+            summary = TextSummary.of_docs(self.fetch_docs(node.object_entries))
             return self._summary_payload(summary)
         return self._merge_payloads(
             [self.buffer.fetch(e.aux_record) for e in node.entries]
@@ -714,12 +773,11 @@ class RTreeBase:
         level, each with the payload its new ancestors absorb (an
         object's document, a child's stored summary), and release the
         node's own records; its children's records are kept."""
-        for entry in node.entries:
-            payload = (
-                self.fetch_doc(entry.doc_record)
-                if isinstance(entry, ObjectEntry)
-                else self.buffer.fetch(entry.aux_record)
-            )
+        if node.is_leaf:
+            payloads: List[Any] = self.fetch_docs(node.object_entries)
+        else:
+            payloads = [self.buffer.fetch(entry.aux_record) for entry in node.entries]
+        for entry, payload in zip(node.entries, payloads):
             orphans.append((node.level, entry, payload))
         self._free_node(node)
 

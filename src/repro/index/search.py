@@ -17,7 +17,7 @@ Two operations drive every why-not algorithm:
   dominators have been seen — the Opt1 early stop of Section IV-C1.
 
 Both trees expose the same two methods the searcher needs
-(``entry_score_bound`` and ``fetch_doc``), so one searcher serves both.
+(``entry_score_bound`` and ``fetch_docs``), so one searcher serves both.
 
 **Heap ordering.**  Heap items are ``(-key, kind, tiebreak, seq, node)``
 with ``kind = 0`` for subtree entries and ``1`` for objects.  The
@@ -31,13 +31,18 @@ object id is non-negative, which the dataset contract does not
 require.)  Object-object ties then break by ascending id, matching the
 oracle's stable sort exactly.
 
-**Vectorized leaf expansion.**  When ``REPRO_VECTORIZE`` is on (the
-default) and a leaf carries a packed columnar block, the whole leaf is
-scored in one batched kernel call (:mod:`repro.core.vectorized`) —
-bit-identical to the scalar loop, with the same per-entry accounted doc
-fetches so I/O counters and injected-fault schedules replay
-identically.  Any leaf without a healthy packed block silently falls
-back to the scalar loop.
+**Leaf expansion.**  A leaf's keyword sets are fetched with one
+``fetch_docs`` call, which charges exactly what one ``fetch_doc`` per
+entry would (one real fetch per packed doc page, the rest buffer hits)
+in O(1) per page.  When ``REPRO_VECTORIZE`` is on (the default) and
+the leaf carries a packed columnar block, the whole leaf is scored in
+one batched kernel call (:mod:`repro.core.vectorized`), bit-identical
+to the scalar loop; any leaf without a healthy packed block silently
+falls back to the scalar loop.  Both paths fetch the same docs, so I/O
+counters and injected-fault schedules replay identically.  Only the
+objects the search can still pop are pushed: ``rank_of_missing``
+drops those scoring at most its threshold, ``top_k`` all but the
+leaf's best ``k - len(results)``.  The pop sequence is unchanged.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ class TopKSearcher:
             if node_id is None:
                 results.append((-neg_key, tiebreak))
                 continue
-            self._expand(heap, node_id, query, doc)
+            self._expand(heap, node_id, query, doc, keep=limit - len(results))
         return results
 
     # ------------------------------------------------------------------
@@ -190,7 +195,7 @@ class TopKSearcher:
                         rank=None, dominators=tuple(dominators), aborted=True
                     )
                 continue
-            self._expand(heap, node_id, query, doc)
+            self._expand(heap, node_id, query, doc, floor=threshold)
         return RankResult(
             rank=len(dominators) + 1, dominators=tuple(dominators), aborted=False
         )
@@ -214,59 +219,69 @@ class TopKSearcher:
         node_id: int,
         query: SpatialKeywordQuery,
         keywords: KeywordSet,
+        *,
+        floor: Optional[float] = None,
+        keep: Optional[int] = None,
     ) -> None:
+        """Push a node's children, or the leaf objects that can pop.
+
+        ``rank_of_missing`` stops once the heap top scores at most its
+        threshold, so it passes that ``floor`` and only objects scoring
+        strictly above it are pushed.  ``top_k`` needs ``keep`` more
+        results, and any object of this leaf behind its ``keep`` best by
+        ``(-score, oid)`` pops only after those, once the answer is
+        full.  Objects that can never pop change no pop, so the pop
+        sequence (and every node fetch and page read) is unchanged.
+        """
         node = self.tree.fetch_node(node_id)
-        if node.is_leaf:
-            entries = node.object_entries
-            scores = self._leaf_scores(node, entries, query, keywords)
-            if scores is None:
-                for entry in entries:
-                    doc = self.tree.fetch_doc(entry.doc_record)
-                    score = self._object_score(entry.loc, doc, query, keywords)
-                    heapq.heappush(
-                        heap,
-                        (-score, _OBJECT_KIND, entry.oid,
-                         next(self._counter), None),
-                    )
-            else:
-                for entry, score in zip(entries, scores):
-                    heapq.heappush(
-                        heap,
-                        (-score, _OBJECT_KIND, entry.oid,
-                         next(self._counter), None),
-                    )
-        else:
+        if not node.is_leaf:
             for entry in node.child_entries:
                 bound = self.tree.entry_score_bound(
                     entry, query, keywords, self.model
                 )
                 self._push_node(heap, entry.child_id, bound)
+            return
+        oids, scores = self._leaf_scores(node, query, keywords)
+        if floor is None:
+            rows = [(-score, oid) for score, oid in zip(scores, oids)]
+        else:
+            rows = [(-score, oid) for score, oid in zip(scores, oids) if score > floor]
+        if keep is not None and keep < len(rows):
+            rows = heapq.nsmallest(keep, rows)
+        counter = self._counter
+        for neg_score, oid in rows:
+            heapq.heappush(heap, (neg_score, _OBJECT_KIND, oid, next(counter), None))
 
     def _leaf_scores(
         self,
         node: Any,
-        entries: Sequence[Any],
         query: SpatialKeywordQuery,
         keywords: KeywordSet,
-    ) -> Optional[List[float]]:
-        """Batched leaf scoring; ``None`` requests the scalar fallback.
+    ) -> Tuple[Sequence[int], Sequence[float]]:
+        """Ids and exact scores of a leaf's objects, in entry order.
 
-        The packed block mirrors data whose I/O the scalar loop charges
-        per entry, so this path issues the *identical* accounted
-        ``fetch_doc`` sequence (same counters, same injected-fault
-        replay) and reads the packed block for free via ``peek``.
+        The leaf's keyword sets are fetched with one accounted
+        :meth:`~repro.index.rtree.RTreeBase.fetch_docs` call on either
+        path, so I/O counters and injected-fault replay do not depend on
+        the path.  With vectorization on and a healthy packed block the
+        whole leaf is scored in one batched kernel call (the block is
+        read for free via ``peek``); otherwise the scalar loop scores
+        the fetched documents.
         """
-        if not self.vectorize or not entries:
-            return None
-        packed = self.tree.packed_leaf(node)
-        if packed is None or len(packed) != len(entries):
-            return None
+        entries = node.object_entries
+        packed = self.tree.packed_leaf(node) if self.vectorize and entries else None
+        if packed is not None and len(packed) != len(entries):
+            packed = None
+        docs = self.tree.fetch_docs(entries)
+        if packed is None:
+            return [entry.oid for entry in entries], [
+                self._object_score(entry.loc, doc, query, keywords)
+                for entry, doc in zip(entries, docs)
+            ]
         from ..core.vectorized import leaf_scores  # lazy: import cycle
 
-        for entry in entries:
-            self.tree.fetch_doc(entry.doc_record)
         query_mask = self.tree.vocab.encode(keywords)
-        return leaf_scores(
+        return packed.oids.tolist(), leaf_scores(
             packed,
             query.loc,
             query.alpha,

@@ -155,6 +155,44 @@ class BufferPool:
                 self._used_pages += span
             return payload
 
+    def fetch_run(
+        self,
+        record_id: int,
+        count: int,
+        consumed: Optional[Callable[[Any], int]] = None,
+    ) -> Any:
+        """``count`` back-to-back fetches of one record, in O(1) when cached.
+
+        The first fetch is a real :meth:`fetch`.  While the record then
+        stays cached, every later fetch of the run would be a hit that
+        moves nothing in LRU order, so the other ``count - 1`` are
+        charged as hits at once (``fetch_count``, ``hit_count``,
+        ``stats.buffer_hits``).  A hit never consults the fault
+        injector, so counters, LRU order and seeded fault schedules are
+        those of ``count`` separate fetches.  A record the pool does not
+        keep (read through, or a zero-capacity pool) takes real fetches.
+
+        ``consumed(payload)``, when given, sees the payload after the
+        first fetch and may cut the run short: only that many fetches
+        are charged (a caller that will fail at its ``j``-th slot
+        charges ``j + 1``, as a fetch-per-slot loop would).
+        """
+        with self._lock:
+            payload = self.fetch(record_id)
+            if consumed is not None:
+                count = consumed(payload)
+            rest = count - 1
+            if rest <= 0:
+                return payload
+            if record_id in self._frames:
+                self.fetch_count += rest
+                self.hit_count += rest
+                self.stats.buffer_hits += rest
+            else:
+                for _ in range(rest):
+                    self.fetch(record_id)
+            return payload
+
     def peek(self, record_id: int) -> Any:
         """Return a record's payload without charging I/O or touching LRU.
 

@@ -24,7 +24,7 @@ from ..errors import StorageError
 from .buffer_pool import BufferPool
 from .pager import Pager
 
-__all__ = ["SlotRef", "PackedWriter", "fetch_slot"]
+__all__ = ["SlotRef", "PackedWriter", "fetch_slot", "slot_payload"]
 
 #: What :class:`PackedWriter` writes through — only ``page_size`` and
 #: ``allocate`` are used, which both expose identically.  Index code
@@ -96,7 +96,11 @@ def fetch_slot(buffer: BufferPool, ref: SlotRef) -> Any:
     Charges the page on a miss; subsequent slots of the same page are
     buffer hits — the locality benefit packing exists to model.
     """
-    page = buffer.fetch(ref.record)
+    return slot_payload(buffer.fetch(ref.record), ref)
+
+
+def slot_payload(page: Any, ref: SlotRef) -> Any:
+    """The payload in ``ref``'s slot of an already fetched page."""
     try:
         return page[ref.slot]
     except (TypeError, IndexError):

@@ -37,6 +37,13 @@ class TestTextSummary:
         assert merged.intersection == {2}
         assert merged.counts[2] == 2
 
+    def test_of_docs_equals_merged_object_summaries(self):
+        objects = list(_dataset(n=60, terms=11))
+        one_pass = TextSummary.of_docs([obj.doc for obj in objects])
+        merged = TextSummary.merged(TextSummary.of_object(obj) for obj in objects)
+        assert one_pass.cnt == merged.cnt == 60
+        assert list(one_pass.counts.items()) == list(merged.counts.items())
+
 
 class TestBuild:
     def test_empty_dataset_rejected(self):

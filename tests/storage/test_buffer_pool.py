@@ -92,3 +92,39 @@ class TestMaintenance:
         assert pool.fetch(rid) == "x"
         assert pool.fetch(rid) == "x"
         assert pager.stats.page_reads == 2  # nothing cached
+
+
+class TestFetchRun:
+    """``fetch_run(rid, n)`` charges what ``n`` calls of ``fetch(rid)`` do."""
+
+    @staticmethod
+    def _ledger(pager, pool):
+        return (
+            pager.stats.snapshot(),
+            pool.fetch_count,
+            pool.hit_count,
+            pool.miss_count,
+            list(pool.cached_records()),
+        )
+
+    @pytest.mark.parametrize("capacity_pages", [0, 1, 4])
+    @pytest.mark.parametrize("span_bytes", [100, 2 * 4096])
+    def test_run_equals_repeated_fetches(self, capacity_pages, span_bytes):
+        ledgers = []
+        for run in (True, False):
+            pager, pool = _pool(capacity_pages=capacity_pages)
+            rids = [pager.allocate(i, span_bytes) for i in range(3)]
+            for rid, count in zip(rids + rids[:1], (5, 1, 3, 4)):
+                if run:
+                    assert pool.fetch_run(rid, count) == pager.peek(rid)
+                else:
+                    for _ in range(count):
+                        pool.fetch(rid)
+            ledgers.append(self._ledger(pager, pool))
+        assert ledgers[0] == ledgers[1]
+
+    def test_consumed_cuts_the_run_short(self):
+        pager, pool = _pool()
+        rid = pager.allocate(("a", "b", "c"), 100)
+        assert pool.fetch_run(rid, 3, consumed=lambda page: 2) == ("a", "b", "c")
+        assert (pool.fetch_count, pool.hit_count, pool.miss_count) == (2, 1, 1)
